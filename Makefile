@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check audit-verify gateway-smoke loadgen-smoke repl-smoke soak bench bench-smoke bench-rpc bench-ledger bench-loadgen crash experiments examples cover fuzz clean
+.PHONY: all build vet test race check perfbench-check audit-verify gateway-smoke loadgen-smoke repl-smoke soak bench bench-smoke bench-rpc bench-loadgen crash experiments examples cover fuzz clean
 
 all: check
 
@@ -28,9 +28,18 @@ race:
 		./internal/chaos/... ./internal/faultpoint/... ./internal/svc/... \
 		./internal/endserver/... ./internal/proxy/... ./internal/group/... \
 		./internal/ledger/... ./internal/gateway/... ./internal/loadgen/... \
-		./internal/soak/... ./internal/repl/...
+		./internal/soak/... ./internal/repl/... ./internal/durable/... \
+		./internal/daemon/...
 
-check: build vet test race
+# perfbench/ is its own module (replace proxykit => ../), so tier-1
+# `go test ./...` does not compile it. Vet and test it here (about 20 s)
+# so a change that breaks the API the standing benchmark builds against
+# fails in `make check`, not in the benchmark run.
+perfbench-check:
+	$(GO) vet -C perfbench ./...
+	$(GO) test -C perfbench ./...
+
+check: build vet test race perfbench-check
 
 # Round-trip an audit journal through the real `proxyctl audit verify`
 # binary: a clean chain exits 0, a single flipped byte exits non-zero.
@@ -98,16 +107,6 @@ bench-smoke:
 # cold-vs-warm chain-cache authorize latency).
 bench-rpc:
 	$(GO) run ./cmd/benchrpc -o BENCH_PR4.json
-
-# Regenerate BENCH_PR9.json: the PR-5 WAL overhead trio (in-memory vs
-# fsync=off vs fsync=always), the group-commit speedup matrix (8
-# concurrent committers at fsync=always, batched vs per-append fsync,
-# as raw ledger appends and striped bank transfers), and an open-loop
-# loadgen run compared per-op against the BENCH_PR7.json baseline.
-bench-ledger:
-	$(GO) run ./cmd/loadgen -o .loadgen_pr9.json
-	$(GO) run ./cmd/benchledger -loadgen .loadgen_pr9.json -loadgen-baseline BENCH_PR7.json -o BENCH_PR9.json
-	rm -f .loadgen_pr9.json
 
 # Regenerate BENCH_PR7.json (open-loop mixed workload against the
 # in-process topology, judged against the standard SLO objectives).

@@ -18,26 +18,14 @@ package main
 import (
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
-	"log/slog"
-	"net"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"proxykit/internal/accounting"
-	"proxykit/internal/audit"
-	"proxykit/internal/faultpoint"
-	"proxykit/internal/ledger"
-	"proxykit/internal/logging"
-	"proxykit/internal/obs"
+	"proxykit/internal/daemon"
 	"proxykit/internal/principal"
-	"proxykit/internal/repl"
-	"proxykit/internal/statefile"
 	"proxykit/internal/svc"
-	"proxykit/internal/transport"
 )
 
 // accountJSON is the accounts-file schema.
@@ -47,154 +35,44 @@ type accountJSON struct {
 	Mint  map[string]int64 `json:"mint"`
 }
 
-func main() {
-	if err := run(); err != nil {
-		slog.Error("acctd failed", "err", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main(newDaemon()) }
 
-func run() error {
-	var (
-		state       = flag.String("state", "./state", "shared state directory")
-		name        = flag.String("name", "bank", "server principal name")
-		realm       = flag.String("realm", "EXAMPLE.ORG", "realm name")
-		listen      = flag.String("listen", "127.0.0.1:8092", "listen address")
-		accounts    = flag.String("accounts", "", "JSON accounts file")
-		metricsAddr = flag.String("metrics-addr", "", "observability HTTP listen address serving /metrics, /healthz, /traces, /audit, and /debug/pprof (disabled when empty)")
-		auditFile   = flag.String("audit-file", "", "hash-chained audit journal path (JSONL, append-only); empty keeps the journal in memory only")
-		faultSpec   = flag.String("fault-spec", "", "server-side fault injection, e.g. 'acct.*:drop=0.1,dup=0.05;acct.balance:delay=50ms@0.2' (chaos testing; see internal/faultpoint)")
-		faultSeed   = flag.Int64("fault-seed", 1, "PRNG seed for -fault-spec decisions")
-		holdSweep   = flag.Duration("hold-sweep-interval", time.Minute, "how often expired certified-check holds are swept back to their accounts; 0 disables the sweeper")
-		rpcWorkers  = flag.Int("rpc-workers", 0, "bound on concurrently handled RPC requests (0 = default pool size)")
-		ledgerDir   = flag.String("ledger-dir", "", "durable ledger directory (WAL + snapshots); empty keeps accounting state in memory only")
-		fsyncMode   = flag.String("fsync", "always", "WAL durability: always (fsync per append), interval (periodic fsync), off (buffered)")
-		groupCommit = flag.Bool("group-commit", true, "batch concurrent fsync=always appends into commit cohorts (one fsync per batch)")
-		snapEvery   = flag.Duration("snapshot-interval", time.Minute, "how often the ledger snapshots full state and truncates the WAL; 0 disables the background snapshotter")
-		replFlags   repl.Flags
-		logOpts     logging.Options
-		traceOpts   obs.TraceOptions
-	)
-	replFlags.Register(flag.CommandLine)
-	logOpts.RegisterFlags(flag.CommandLine)
-	traceOpts.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	logger, err := logOpts.Setup(nil)
-	if err != nil {
-		return err
-	}
-
-	obsCleanup, err := traceOpts.Apply()
-	if err != nil {
-		return err
-	}
-	defer obsCleanup()
-
-	journal, err := audit.New(audit.Options{Path: *auditFile, Logger: logger})
-	if err != nil {
-		return err
-	}
-	defer journal.Close()
-
-	ident, err := statefile.LoadOrCreateIdentity(*state, principal.New(*name, *realm))
-	if err != nil {
-		return err
-	}
-	resolve := statefile.DynamicResolver(*state)
-	srv := accounting.NewServer(ident, resolve, nil)
-	if *ledgerDir != "" {
-		mode, err := ledger.ParseFsyncMode(*fsyncMode)
-		if err != nil {
-			return err
-		}
-		rec, err := srv.OpenLedger(ledger.Options{Dir: *ledgerDir, Fsync: mode, NoGroupCommit: !*groupCommit, Logger: logger})
-		if err != nil {
-			return err
-		}
-		defer srv.CloseLedger()
-		logger.Info("ledger open", "dir", *ledgerDir, "fsync", mode.String(),
-			"replayed", len(rec.Entries), "snapshotSeq", rec.SnapshotSeq, "tornTail", rec.TornTail)
-		if *snapEvery > 0 {
-			stopSnap := srv.StartSnapshotter(*snapEvery)
-			defer stopSnap()
-		}
-	}
-	srv.SetJournal(journal)
-
-	mux := svc.NewAcctService(srv, resolve, nil).Mux()
-	replNode, err := replFlags.Start(srv, *ledgerDir, mux, logger)
-	if err != nil {
-		return err
-	}
-	if replNode != nil {
-		defer replNode.Close()
-	}
-
-	if *metricsAddr != "" {
-		msrv, maddr, err := obs.ServeWith(*metricsAddr, obs.HandlerOpts{
-			Audit: journal,
-			Health: func() map[string]any {
-				h := journal.Health()
-				if lg := srv.Ledger(); lg != nil {
-					for k, v := range lg.Health() {
-						h[k] = v
-					}
+func newDaemon() *daemon.Daemon {
+	d := daemon.New(daemon.Spec{
+		Prog: "acctd", Server: "accounting server",
+		Name: "bank", Listen: "127.0.0.1:8092",
+		Durable: true,
+	})
+	accounts := d.Flags.String("accounts", "", "JSON accounts file")
+	holdSweep := d.Flags.Duration("hold-sweep-interval", time.Minute, "how often expired certified-check holds are swept back to their accounts; 0 disables the sweeper")
+	d.Build = func(env *daemon.Env) (*daemon.Service, error) {
+		srv := accounting.NewServer(env.Identity, env.Resolve, nil)
+		srv.SetJournal(env.Journal)
+		return &daemon.Service{
+			Mux:   svc.NewAcctService(srv, env.Resolve, nil).Mux(),
+			Store: &srv.Store,
+			// A standby's books come from the primary's WAL, and only
+			// the primary releases expired holds.
+			Start: func(standby bool) (func(), error) {
+				if standby {
+					return nil, nil
 				}
-				if replNode != nil {
-					for k, v := range replNode.Health() {
-						h[k] = v
+				if *accounts != "" {
+					n, err := loadAccounts(srv, *accounts)
+					if err != nil {
+						return nil, err
 					}
+					env.Logger.Info("provisioned accounts", "count", n, "file", *accounts)
 				}
-				return h
+				if *holdSweep <= 0 {
+					return nil, nil
+				}
+				env.Logger.Info("hold sweeper running", "interval", *holdSweep)
+				return srv.StartHoldSweeper(*holdSweep), nil
 			},
-		})
-		if err != nil {
-			return err
-		}
-		defer msrv.Close()
-		logger.Info("metrics listening", "url", fmt.Sprintf("http://%s/metrics", maddr))
+		}, nil
 	}
-
-	if *accounts != "" {
-		if replFlags.Standby {
-			// A standby's books come from the primary's WAL; local
-			// provisioning would be refused by the commit gate anyway.
-			logger.Info("standby: skipping account provisioning", "file", *accounts)
-		} else {
-			n, err := loadAccounts(srv, *accounts)
-			if err != nil {
-				return err
-			}
-			logger.Info("provisioned accounts", "count", n, "file", *accounts)
-		}
-	}
-
-	if *holdSweep > 0 && !replFlags.Standby {
-		stop := srv.StartHoldSweeper(*holdSweep)
-		defer stop()
-		logger.Info("hold sweeper running", "interval", *holdSweep)
-	}
-
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-	tcp := transport.NewTCPServerWorkers(l, mux, *rpcWorkers)
-	if *faultSpec != "" {
-		inj, err := faultpoint.Parse(*faultSpec, *faultSeed)
-		if err != nil {
-			return err
-		}
-		tcp.SetInjector(inj)
-		logger.Warn("fault injection active", "spec", *faultSpec, "seed", *faultSeed)
-	}
-	logger.Info("accounting server listening", "server", ident.ID.String(), "addr", tcp.Addr().String())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	return tcp.Close()
+	return d
 }
 
 func loadAccounts(srv *accounting.Server, path string) (int, error) {

@@ -20,25 +20,15 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
-	"log/slog"
-	"net"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"proxykit/internal/acl"
-	"proxykit/internal/audit"
+	"proxykit/internal/daemon"
 	"proxykit/internal/endserver"
-	"proxykit/internal/faultpoint"
-	"proxykit/internal/logging"
-	"proxykit/internal/obs"
 	"proxykit/internal/principal"
 	"proxykit/internal/proxy"
-	"proxykit/internal/statefile"
 	"proxykit/internal/svc"
-	"proxykit/internal/transport"
 )
 
 // entryJSON is the ACL-file schema.
@@ -48,101 +38,29 @@ type entryJSON struct {
 	Ops        []string `json:"ops"`
 }
 
-func main() {
-	if err := run(); err != nil {
-		slog.Error("filed failed", "err", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main(newDaemon()) }
 
-func run() error {
-	var (
-		state       = flag.String("state", "./state", "shared state directory")
-		name        = flag.String("name", "file/srv1", "server principal name")
-		realm       = flag.String("realm", "EXAMPLE.ORG", "realm name")
-		listen      = flag.String("listen", "127.0.0.1:8093", "listen address")
-		aclFile     = flag.String("acl", "", "JSON ACL file")
-		metricsAddr = flag.String("metrics-addr", "", "observability HTTP listen address serving /metrics, /healthz, /traces, /audit, and /debug/pprof (disabled when empty)")
-		auditFile   = flag.String("audit-file", "", "hash-chained audit journal path (JSONL, append-only); empty keeps the journal in memory only")
-		faultSpec   = flag.String("fault-spec", "", "server-side fault injection, e.g. 'end.*:drop=0.1,delay=50ms@0.2' (chaos testing; see internal/faultpoint)")
-		faultSeed   = flag.Int64("fault-seed", 1, "PRNG seed for -fault-spec decisions")
-		rpcWorkers  = flag.Int("rpc-workers", 0, "bound on concurrently handled RPC requests (0 = default pool size)")
-		chainCache  = flag.Int("chain-cache", proxy.DefaultChainCacheSize, "verified-chain cache capacity; 0 disables caching")
-		logOpts     logging.Options
-		traceOpts   obs.TraceOptions
-	)
-	logOpts.RegisterFlags(flag.CommandLine)
-	traceOpts.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	logger, err := logOpts.Setup(nil)
-	if err != nil {
-		return err
-	}
-
-	obsCleanup, err := traceOpts.Apply()
-	if err != nil {
-		return err
-	}
-	defer obsCleanup()
-
-	journal, err := audit.New(audit.Options{Path: *auditFile, Logger: logger})
-	if err != nil {
-		return err
-	}
-	defer journal.Close()
-
-	if *metricsAddr != "" {
-		msrv, maddr, err := obs.ServeWith(*metricsAddr, obs.HandlerOpts{
-			Audit:  journal,
-			Health: journal.Health,
-		})
-		if err != nil {
-			return err
+func newDaemon() *daemon.Daemon {
+	d := daemon.New(daemon.Spec{
+		Prog: "filed", Server: "end-server",
+		Name: "file/srv1", Listen: "127.0.0.1:8093",
+		ChainCache: true,
+	})
+	aclFile := d.Flags.String("acl", "", "JSON ACL file")
+	d.Build = func(env *daemon.Env) (*daemon.Service, error) {
+		srv := endserver.New(env.Identity.ID, &proxy.VerifyEnv{ResolveIdentity: env.Resolve}, nil)
+		srv.SetJournal(env.Journal)
+		srv.SetChainCache(env.ChainCache)
+		if *aclFile != "" {
+			n, err := loadACLs(srv, *aclFile)
+			if err != nil {
+				return nil, err
+			}
+			env.Logger.Info("loaded ACLs", "objects", n, "file", *aclFile)
 		}
-		defer msrv.Close()
-		logger.Info("metrics listening", "url", fmt.Sprintf("http://%s/metrics", maddr))
+		return &daemon.Service{Mux: svc.NewEndService(srv, env.Resolve, nil).Mux()}, nil
 	}
-
-	ident, err := statefile.LoadOrCreateIdentity(*state, principal.New(*name, *realm))
-	if err != nil {
-		return err
-	}
-	resolve := statefile.DynamicResolver(*state)
-	env := &proxy.VerifyEnv{ResolveIdentity: resolve}
-	srv := endserver.New(ident.ID, env, nil)
-	srv.SetJournal(journal)
-	if *chainCache > 0 {
-		srv.SetChainCache(proxy.NewChainCache(*chainCache))
-		logger.Info("verified-chain cache enabled", "capacity", *chainCache)
-	}
-	if *aclFile != "" {
-		n, err := loadACLs(srv, *aclFile)
-		if err != nil {
-			return err
-		}
-		logger.Info("loaded ACLs", "objects", n, "file", *aclFile)
-	}
-
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-	tcp := transport.NewTCPServerWorkers(l, svc.NewEndService(srv, resolve, nil).Mux(), *rpcWorkers)
-	if *faultSpec != "" {
-		inj, err := faultpoint.Parse(*faultSpec, *faultSeed)
-		if err != nil {
-			return err
-		}
-		tcp.SetInjector(inj)
-		logger.Warn("fault injection active", "spec", *faultSpec, "seed", *faultSeed)
-	}
-	logger.Info("end-server listening", "server", ident.ID.String(), "addr", tcp.Addr().String())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	return tcp.Close()
+	return d
 }
 
 func loadACLs(srv *endserver.Server, path string) (int, error) {

@@ -19,175 +19,52 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
-	"log/slog"
-	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
-	"proxykit/internal/audit"
-	"proxykit/internal/faultpoint"
+	"proxykit/internal/daemon"
 	"proxykit/internal/group"
-	"proxykit/internal/ledger"
-	"proxykit/internal/logging"
-	"proxykit/internal/obs"
 	"proxykit/internal/principal"
-	"proxykit/internal/proxy"
-	"proxykit/internal/repl"
-	"proxykit/internal/statefile"
 	"proxykit/internal/svc"
-	"proxykit/internal/transport"
 )
 
-func main() {
-	if err := run(); err != nil {
-		slog.Error("groupd failed", "err", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main(newDaemon()) }
 
-func run() error {
-	var (
-		state       = flag.String("state", "./state", "shared state directory")
-		name        = flag.String("name", "groups", "server principal name")
-		realm       = flag.String("realm", "EXAMPLE.ORG", "realm name")
-		listen      = flag.String("listen", "127.0.0.1:8091", "listen address")
-		groups      = flag.String("groups", "", "JSON groups file")
-		metricsAddr = flag.String("metrics-addr", "", "observability HTTP listen address serving /metrics, /healthz, /traces, /audit, and /debug/pprof (disabled when empty)")
-		auditFile   = flag.String("audit-file", "", "hash-chained audit journal path (JSONL, append-only); empty keeps the journal in memory only")
-		faultSpec   = flag.String("fault-spec", "", "server-side fault injection, e.g. 'group.*:drop=0.1,delay=50ms@0.2' (chaos testing; see internal/faultpoint)")
-		faultSeed   = flag.Int64("fault-seed", 1, "PRNG seed for -fault-spec decisions")
-		rpcWorkers  = flag.Int("rpc-workers", 0, "bound on concurrently handled RPC requests (0 = default pool size)")
-		chainCache  = flag.Int("chain-cache", proxy.DefaultChainCacheSize, "verified-chain cache capacity; 0 disables caching")
-		ledgerDir   = flag.String("ledger-dir", "", "durable ledger directory (WAL + snapshots); empty keeps the group database in memory only")
-		fsyncMode   = flag.String("fsync", "always", "WAL durability: always (fsync per append), interval (periodic fsync), off (buffered)")
-		groupCommit = flag.Bool("group-commit", true, "batch concurrent fsync=always appends into commit cohorts (one fsync per batch)")
-		snapEvery   = flag.Duration("snapshot-interval", time.Minute, "how often the ledger snapshots the database and truncates the WAL; 0 disables the background snapshotter")
-		replFlags   repl.Flags
-		logOpts     logging.Options
-		traceOpts   obs.TraceOptions
-	)
-	replFlags.Register(flag.CommandLine)
-	logOpts.RegisterFlags(flag.CommandLine)
-	traceOpts.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	logger, err := logOpts.Setup(nil)
-	if err != nil {
-		return err
-	}
-
-	obsCleanup, err := traceOpts.Apply()
-	if err != nil {
-		return err
-	}
-	defer obsCleanup()
-
-	journal, err := audit.New(audit.Options{Path: *auditFile, Logger: logger})
-	if err != nil {
-		return err
-	}
-	defer journal.Close()
-
-	ident, err := statefile.LoadOrCreateIdentity(*state, principal.New(*name, *realm))
-	if err != nil {
-		return err
-	}
-	resolve := statefile.DynamicResolver(*state)
-	srv := group.New(ident, nil)
-	if *ledgerDir != "" {
-		mode, err := ledger.ParseFsyncMode(*fsyncMode)
-		if err != nil {
-			return err
-		}
-		rec, err := srv.OpenLedger(ledger.Options{Dir: *ledgerDir, Fsync: mode, NoGroupCommit: !*groupCommit, Logger: logger})
-		if err != nil {
-			return err
-		}
-		defer srv.CloseLedger()
-		logger.Info("ledger open", "dir", *ledgerDir, "fsync", mode.String(),
-			"replayed", len(rec.Entries), "snapshotSeq", rec.SnapshotSeq, "tornTail", rec.TornTail)
-		if *snapEvery > 0 {
-			stopSnap := srv.StartSnapshotter(*snapEvery)
-			defer stopSnap()
-		}
-	}
-	srv.SetJournal(journal)
-
-	gsvc := svc.NewGroupService(srv, resolve, nil)
-	if *chainCache > 0 {
-		gsvc.SetChainCache(proxy.NewChainCache(*chainCache))
-		logger.Info("verified-chain cache enabled", "capacity", *chainCache)
-	}
-	mux := gsvc.Mux()
-	replNode, err := replFlags.Start(srv, *ledgerDir, mux, logger)
-	if err != nil {
-		return err
-	}
-	if replNode != nil {
-		defer replNode.Close()
-	}
-
-	if *metricsAddr != "" {
-		msrv, maddr, err := obs.ServeWith(*metricsAddr, obs.HandlerOpts{
-			Audit: journal,
-			Health: func() map[string]any {
-				h := journal.Health()
-				if lg := srv.Ledger(); lg != nil {
-					for k, v := range lg.Health() {
-						h[k] = v
-					}
+func newDaemon() *daemon.Daemon {
+	d := daemon.New(daemon.Spec{
+		Prog: "groupd", Server: "group server",
+		Name: "groups", Listen: "127.0.0.1:8091",
+		ChainCache: true, Durable: true,
+	})
+	groups := d.Flags.String("groups", "", "JSON groups file")
+	d.Build = func(env *daemon.Env) (*daemon.Service, error) {
+		srv := group.New(env.Identity, nil)
+		srv.SetJournal(env.Journal)
+		gsvc := svc.NewGroupService(srv, env.Resolve, nil)
+		gsvc.SetChainCache(env.ChainCache)
+		return &daemon.Service{
+			Mux:   gsvc.Mux(),
+			Store: &srv.Store,
+			// Provision from the file only when the database came up
+			// empty — a ledger-recovered database already contains these
+			// groups (plus any later edits), and re-adding nested groups
+			// would duplicate their entries. A standby's database comes
+			// from the primary's WAL.
+			Start: func(standby bool) (func(), error) {
+				if *groups == "" || standby || !srv.Empty() {
+					return nil, nil
 				}
-				if replNode != nil {
-					for k, v := range replNode.Health() {
-						h[k] = v
-					}
+				n, err := loadGroups(srv, *groups)
+				if err != nil {
+					return nil, err
 				}
-				return h
+				env.Logger.Info("loaded groups", "count", n, "file", *groups)
+				return nil, nil
 			},
-		})
-		if err != nil {
-			return err
-		}
-		defer msrv.Close()
-		logger.Info("metrics listening", "url", fmt.Sprintf("http://%s/metrics", maddr))
+		}, nil
 	}
-
-	// Provision from the file only when the database came up empty —
-	// a ledger-recovered database already contains these groups (plus
-	// any later edits), and re-adding nested groups would duplicate
-	// their entries. A standby's database comes from the primary's WAL.
-	if *groups != "" && len(srv.Groups()) == 0 && !replFlags.Standby {
-		n, err := loadGroups(srv, *groups)
-		if err != nil {
-			return err
-		}
-		logger.Info("loaded groups", "count", n, "file", *groups)
-	}
-
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-	tcp := transport.NewTCPServerWorkers(l, mux, *rpcWorkers)
-	if *faultSpec != "" {
-		inj, err := faultpoint.Parse(*faultSpec, *faultSeed)
-		if err != nil {
-			return err
-		}
-		tcp.SetInjector(inj)
-		logger.Warn("fault injection active", "spec", *faultSpec, "seed", *faultSeed)
-	}
-	logger.Info("group server listening", "server", ident.ID.String(), "addr", tcp.Addr().String())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	return tcp.Close()
+	return d
 }
 
 func loadGroups(srv *group.Server, path string) (int, error) {

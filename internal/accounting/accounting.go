@@ -29,9 +29,9 @@ import (
 	"proxykit/internal/acl"
 	"proxykit/internal/audit"
 	"proxykit/internal/clock"
+	"proxykit/internal/durable"
 	"proxykit/internal/faultpoint"
 	"proxykit/internal/kcrypto"
-	"proxykit/internal/ledger"
 	"proxykit/internal/obs"
 	"proxykit/internal/principal"
 	"proxykit/internal/proxy"
@@ -82,6 +82,10 @@ type Server struct {
 	// compose it with the local account name.
 	ID principal.ID
 
+	// Store owns the ledger, the commit gate, recovery, and replication
+	// apply; persist.go implements its Machine.
+	durable.Store
+
 	identity *pubkey.Identity
 	env      *proxy.VerifyEnv
 	clk      clock.Clock
@@ -102,16 +106,14 @@ type Server struct {
 	stripes [lockStripes]sync.RWMutex
 
 	// cfgMu guards the mutable wiring below — peers, hops, journal,
-	// injectors, the ledger reference — and ForwardedChecks. It is a
-	// leaf lock: nothing else is acquired while holding it.
+	// injectors — and ForwardedChecks. It is a leaf lock: nothing else
+	// is acquired while holding it.
 	cfgMu    sync.Mutex
 	peers    map[principal.ID]*Server
 	nextHop  *Server
 	journal  *audit.Journal
 	hopRetry transport.RetryPolicy
 	hopInj   *faultpoint.Injector
-	ledger   *ledger.Ledger
-	gate     func() error // commit gate; non-nil refusal blocks all mutations
 
 	// ForwardedChecks counts checks this server endorsed onward to
 	// another bank (clearing traffic, for the experiments). Guarded by
@@ -155,6 +157,7 @@ func NewServer(identity *pubkey.Identity, resolve func(principal.ID) (kcrypto.Ve
 		accounts: make(map[string]*account),
 		peers:    make(map[principal.ID]*Server),
 	}
+	s.Bind(s, "accounting")
 	s.env = &proxy.VerifyEnv{
 		Server:          identity.ID,
 		Clock:           clk,

@@ -5,17 +5,18 @@ package accounting
 // proceed in parallel, each holding only the stripes its accounts hash
 // to. Lock order, everywhere in the package:
 //
-//	createMu → stripes (ascending index) → acctMu → cfgMu
+//	createMu → stripes (ascending index) → acctMu → cfgMu, durable.Store
 //
 // Deadlock freedom follows from the total order: pair operations take
 // both stripes in ascending index order, whole-bank captures take every
 // stripe ascending, and acctMu (the accounts-map lock) is only ever
-// taken while holding stripes or alone — never the reverse.
+// taken while holding stripes or alone — never the reverse. cfgMu and
+// the embedded Store's mutex are leaves.
 //
 // Commit invariant: every commitOp call site holds, in write mode, the
 // stripe of every account its op mutates. Whole-bank captures (Totals,
-// SnapshotState) hold all stripes, so no commit is mid-flight between
-// its WAL append and its in-memory apply while they look — the captured
+// Snapshot) hold all stripes, so no commit is mid-flight between its
+// WAL append and its in-memory apply while they look — the captured
 // state and ledger sequence number agree.
 
 import (

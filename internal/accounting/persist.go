@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"proxykit/internal/acl"
-	"proxykit/internal/ledger"
 	"proxykit/internal/principal"
 	"proxykit/internal/replay"
 	"proxykit/internal/restrict"
@@ -109,32 +108,56 @@ func decodeOp(b []byte) (*op, error) {
 
 // commitOp durably records the op, then applies it. Callers hold, in
 // write mode, the stripe of every account the op mutates, and have
-// fully validated it; a failed append leaves the in-memory state
-// untouched (the mutation never happened). Under the ledger's group
-// commit, concurrent commitOp calls on disjoint stripes share one
-// fsync.
+// fully validated it; a refused or failed WriteAhead leaves the
+// in-memory state untouched (the mutation never happened). Under the
+// ledger's group commit, concurrent commitOp calls on disjoint stripes
+// share one fsync.
 func (s *Server) commitOp(o *op) error {
-	if gate := s.gateRef(); gate != nil {
-		if err := gate(); err != nil {
-			return err
-		}
-	}
-	if lg := s.ledgerRef(); lg != nil {
-		e := encodeOp(o)
-		_, err := lg.Append(e.Bytes())
+	var e *wire.Encoder
+	err := s.WriteAhead(func() ([]byte, error) {
+		e = encodeOp(o)
+		return e.Bytes(), nil
+	})
+	if e != nil {
 		e.Release()
-		if err != nil {
-			return fmt.Errorf("accounting: %w", err)
-		}
+	}
+	if err != nil {
+		return err
 	}
 	return s.applyOp(o)
 }
 
-// ledgerRef fetches the attached ledger under cfgMu.
-func (s *Server) ledgerRef() *ledger.Ledger {
-	s.cfgMu.Lock()
-	defer s.cfgMu.Unlock()
-	return s.ledger
+// Apply implements durable.Machine: recovery and replication replay a
+// record through the same applyOp the live path uses, under the same
+// stripes, so whole-bank captures on a standby never observe a
+// half-applied record.
+func (s *Server) Apply(record []byte, logged func() error) error {
+	o, err := decodeOp(record)
+	if err != nil {
+		return err
+	}
+	unlock := s.lockOpAccounts(o)
+	defer unlock()
+	if err := logged(); err != nil {
+		return err
+	}
+	return s.applyOp(o)
+}
+
+// lockOpAccounts write-locks the stripes of every account the op
+// mutates, mirroring the live commit paths.
+func (s *Server) lockOpAccounts(o *op) (unlock func()) {
+	a, b := o.acct, o.to
+	switch {
+	case a != "" && b != "":
+		return s.lockPair(a, b)
+	case a != "":
+		return s.lockAccount(a)
+	case b != "":
+		return s.lockAccount(b)
+	default:
+		return func() {}
+	}
 }
 
 // applyOp mutates in-memory state for one op. It is the single
@@ -298,13 +321,12 @@ type snapState struct {
 	AcceptOnce []replay.Entry `json:"acceptOnce,omitempty"`
 }
 
-// SnapshotState captures the full server state (accounts, balances,
-// uncollected funds, holds, statement tails, accept-once entries) as a
-// deterministic JSON document, plus the WAL sequence number the capture
-// covers. Commits hold their accounts' stripes across append+apply, so
-// with every stripe held here no commit is mid-flight: the captured
-// state and the ledger's LastSeq agree.
-func (s *Server) SnapshotState() ([]byte, uint64, error) {
+// Snapshot implements durable.Machine: the full server state
+// (accounts, balances, uncollected funds, holds, statement tails,
+// accept-once entries) as a deterministic JSON document. Commits hold
+// their accounts' stripes across append+apply, so with every stripe
+// held here no commit is mid-flight when captured runs.
+func (s *Server) Snapshot(captured func()) ([]byte, error) {
 	unlock := s.lockAll()
 	defer unlock()
 	s.acctMu.RLock()
@@ -345,24 +367,22 @@ func (s *Server) SnapshotState() ([]byte, uint64, error) {
 	}
 	raw, err := json.Marshal(st)
 	if err != nil {
-		return nil, 0, fmt.Errorf("accounting: snapshot: %w", err)
+		return nil, err
 	}
-	var seq uint64
-	if lg := s.ledgerRef(); lg != nil {
-		seq = lg.LastSeq()
-	}
-	return raw, seq, nil
+	captured()
+	return raw, nil
 }
 
-// restoreState rebuilds in-memory state from a snapshot document.
-// Called from OpenLedger before the server takes traffic.
-func (s *Server) restoreState(raw []byte) error {
+// Restore implements durable.Machine. The document is decoded into a
+// fresh accounts map first; only a fully decoded snapshot is swapped
+// in, with account creation and every stripe held exclusively so no
+// read observes the swap half-done.
+func (s *Server) Restore(raw []byte, swapped func() error) error {
 	var st snapState
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return fmt.Errorf("accounting: restore snapshot: %w", err)
 	}
-	s.acctMu.Lock()
-	defer s.acctMu.Unlock()
+	accounts := make(map[string]*account, len(st.Accounts))
 	for _, sa := range st.Accounts {
 		entries := make([]acl.Entry, 0, len(sa.ACL))
 		for _, se := range sa.ACL {
@@ -407,96 +427,24 @@ func (s *Server) restoreState(raw []byte) error {
 		for _, h := range sa.Holds {
 			a.holds[h.Number] = &hold{currency: h.Currency, amount: h.Amount, expires: h.Expires}
 		}
-		s.accounts[sa.Name] = a
+		accounts[sa.Name] = a
 	}
+
+	s.createMu.Lock()
+	defer s.createMu.Unlock()
+	unlock := s.lockAllExclusive()
+	defer unlock()
+	s.acctMu.Lock()
+	s.accounts = accounts
+	s.acctMu.Unlock()
+	s.registry.Clear()
 	s.registry.Restore(st.AcceptOnce)
-	return nil
+	return swapped()
 }
 
-// ---- ledger lifecycle ----
-
-// OpenLedger attaches a durable ledger to a freshly constructed server,
-// restoring any recovered snapshot and replaying the WAL tail. It must
-// be called before any accounts exist; provisioning after recovery
-// should tolerate ErrAccountExists (the account came back from disk).
-func (s *Server) OpenLedger(o ledger.Options) (*ledger.Recovery, error) {
-	lg, rec, err := ledger.Open(o)
-	if err != nil {
-		return nil, err
-	}
-	if s.ledgerRef() != nil {
-		lg.Close()
-		return nil, errors.New("accounting: ledger already open")
-	}
+// Empty implements durable.Machine: no accounts exist yet.
+func (s *Server) Empty() bool {
 	s.acctMu.RLock()
-	n := len(s.accounts)
-	s.acctMu.RUnlock()
-	if n != 0 {
-		lg.Close()
-		return nil, errors.New("accounting: OpenLedger requires a server with no accounts yet")
-	}
-	if rec.Snapshot != nil {
-		if err := s.restoreState(rec.Snapshot); err != nil {
-			lg.Close()
-			return nil, err
-		}
-	}
-	for _, e := range rec.Entries {
-		o, err := decodeOp(e.Data)
-		if err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("accounting: WAL record %d: %w", e.Seq, err)
-		}
-		if err := s.applyOp(o); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("accounting: replay record %d: %w", e.Seq, err)
-		}
-	}
-	s.cfgMu.Lock()
-	s.ledger = lg
-	s.cfgMu.Unlock()
-	return rec, nil
-}
-
-// Ledger returns the attached ledger, nil when the server is in-memory
-// only.
-func (s *Server) Ledger() *ledger.Ledger {
-	return s.ledgerRef()
-}
-
-// SnapshotNow captures the current state and commits it as a snapshot,
-// truncating the WAL when nothing raced past the capture.
-func (s *Server) SnapshotNow() error {
-	state, seq, err := s.SnapshotState()
-	if err != nil {
-		return err
-	}
-	lg := s.Ledger()
-	if lg == nil {
-		return errors.New("accounting: no ledger attached")
-	}
-	return lg.WriteSnapshot(state, seq)
-}
-
-// StartSnapshotter runs SnapshotNow every interval while new WAL
-// records exist. The returned stop function halts it and waits.
-func (s *Server) StartSnapshotter(interval time.Duration) (stop func()) {
-	lg := s.Ledger()
-	if lg == nil {
-		return func() {}
-	}
-	return lg.StartSnapshotter(interval, s.SnapshotNow)
-}
-
-// CloseLedger flushes and closes the attached ledger; the server keeps
-// serving from memory afterwards.
-func (s *Server) CloseLedger() error {
-	s.cfgMu.Lock()
-	lg := s.ledger
-	s.ledger = nil
-	s.cfgMu.Unlock()
-	if lg == nil {
-		return nil
-	}
-	return lg.Close()
+	defer s.acctMu.RUnlock()
+	return len(s.accounts) == 0
 }

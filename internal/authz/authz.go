@@ -22,7 +22,7 @@ import (
 	"proxykit/internal/acl"
 	"proxykit/internal/audit"
 	"proxykit/internal/clock"
-	"proxykit/internal/ledger"
+	"proxykit/internal/durable"
 	"proxykit/internal/obs"
 	"proxykit/internal/principal"
 	"proxykit/internal/proxy"
@@ -58,14 +58,16 @@ type Server struct {
 	// in their ACLs to delegate authorization.
 	ID principal.ID
 
+	// Store owns the ledger, the commit gate, recovery, and replication
+	// apply; persist.go implements its Machine.
+	durable.Store
+
 	identity *pubkey.Identity
 	clk      clock.Clock
 
 	mu      sync.RWMutex
 	rules   []Rule
 	journal *audit.Journal
-	ledger  *ledger.Ledger
-	gate    func() error // commit gate; non-nil refusal blocks mutations
 }
 
 // SetJournal attaches an audit journal; every Grant decision is sealed
@@ -81,7 +83,9 @@ func New(identity *pubkey.Identity, clk clock.Clock) *Server {
 	if clk == nil {
 		clk = clock.System{}
 	}
-	return &Server{ID: identity.ID, identity: identity, clk: clk}
+	s := &Server{ID: identity.ID, identity: identity, clk: clk}
+	s.Bind(s, "authz")
+	return s
 }
 
 // AddRule appends a rule to the database. With a ledger attached the

@@ -7,11 +7,8 @@ package authz
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"time"
 
-	"proxykit/internal/ledger"
 	"proxykit/internal/principal"
 	"proxykit/internal/restrict"
 )
@@ -30,7 +27,7 @@ type snapState struct {
 	Rules []snapRule `json:"rules"`
 }
 
-func encodeRule(r Rule) (snapRule, error) {
+func encodeRule(r Rule) snapRule {
 	sr := snapRule{
 		EndServer: r.EndServer.String(),
 		Object:    r.Object,
@@ -45,7 +42,7 @@ func encodeRule(r Rule) (snapRule, error) {
 	if len(r.Restrictions) > 0 {
 		sr.Restrictions = r.Restrictions.Marshal()
 	}
-	return sr, nil
+	return sr
 }
 
 func decodeRule(sr snapRule) (Rule, error) {
@@ -78,141 +75,78 @@ func decodeRule(sr snapRule) (Rule, error) {
 	return r, nil
 }
 
-// commitLocked appends the rule record and applies it; callers hold the
-// write lock. An append failure skips the mutation (the ledger fails
-// closed).
+// commitLocked logs the rule record and applies it; callers hold the
+// write lock. A refused or failed WriteAhead skips the mutation.
 func (s *Server) commitLocked(r Rule) error {
-	if s.gate != nil {
-		if err := s.gate(); err != nil {
-			return err
-		}
-	}
-	if s.ledger != nil {
-		sr, err := encodeRule(r)
-		if err != nil {
-			return err
-		}
-		raw, err := json.Marshal(sr)
-		if err != nil {
-			return err
-		}
-		if _, err := s.ledger.Append(raw); err != nil {
-			return fmt.Errorf("authz: %w", err)
-		}
+	if err := s.WriteAhead(func() ([]byte, error) { return json.Marshal(encodeRule(r)) }); err != nil {
+		return err
 	}
 	s.rules = append(s.rules, r)
 	return nil
 }
 
-// SnapshotState captures the full rule database and the WAL sequence
-// the capture covers.
-func (s *Server) SnapshotState() ([]byte, uint64, error) {
+// Apply implements durable.Machine: recovery and replication replay a
+// rule record through the same decode path.
+func (s *Server) Apply(record []byte, logged func() error) error {
+	var sr snapRule
+	if err := json.Unmarshal(record, &sr); err != nil {
+		return fmt.Errorf("authz: decode WAL rule: %w", err)
+	}
+	r, err := decodeRule(sr)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := logged(); err != nil {
+		return err
+	}
+	s.rules = append(s.rules, r)
+	return nil
+}
+
+// Snapshot implements durable.Machine: the full rule database in
+// insertion order. AddRule holds mu across append+apply, so no commit
+// is mid-flight when captured runs.
+func (s *Server) Snapshot(captured func()) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := snapState{}
 	for _, r := range s.rules {
-		sr, err := encodeRule(r)
-		if err != nil {
-			return nil, 0, err
-		}
-		st.Rules = append(st.Rules, sr)
+		st.Rules = append(st.Rules, encodeRule(r))
 	}
 	raw, err := json.Marshal(st)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	var seq uint64
-	if s.ledger != nil {
-		seq = s.ledger.LastSeq()
-	}
-	return raw, seq, nil
+	captured()
+	return raw, nil
 }
 
-// OpenLedger attaches a durable ledger to a fresh server, restoring any
-// snapshot and replaying the WAL tail.
-func (s *Server) OpenLedger(o ledger.Options) (*ledger.Recovery, error) {
-	lg, rec, err := ledger.Open(o)
-	if err != nil {
-		return nil, err
+// Restore implements durable.Machine: every rule is decoded first, and
+// only a fully decoded database replaces the live one.
+func (s *Server) Restore(raw []byte, swapped func() error) error {
+	var st snapState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		return fmt.Errorf("authz: restore snapshot: %w", err)
+	}
+	rules := make([]Rule, 0, len(st.Rules))
+	for _, sr := range st.Rules {
+		r, err := decodeRule(sr)
+		if err != nil {
+			return err
+		}
+		rules = append(rules, r)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ledger != nil {
-		lg.Close()
-		return nil, errors.New("authz: ledger already open")
-	}
-	if len(s.rules) != 0 {
-		lg.Close()
-		return nil, errors.New("authz: OpenLedger requires a server with no rules yet")
-	}
-	if rec.Snapshot != nil {
-		var st snapState
-		if err := json.Unmarshal(rec.Snapshot, &st); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("authz: restore snapshot: %w", err)
-		}
-		for _, sr := range st.Rules {
-			r, err := decodeRule(sr)
-			if err != nil {
-				lg.Close()
-				return nil, err
-			}
-			s.rules = append(s.rules, r)
-		}
-	}
-	for _, e := range rec.Entries {
-		var sr snapRule
-		if err := json.Unmarshal(e.Data, &sr); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("authz: WAL record %d: %w", e.Seq, err)
-		}
-		r, err := decodeRule(sr)
-		if err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("authz: replay record %d: %w", e.Seq, err)
-		}
-		s.rules = append(s.rules, r)
-	}
-	s.ledger = lg
-	return rec, nil
+	s.rules = rules
+	return swapped()
 }
 
-// SnapshotNow captures the current database and commits it as a
-// snapshot.
-func (s *Server) SnapshotNow() error {
-	state, seq, err := s.SnapshotState()
-	if err != nil {
-		return err
-	}
+// Empty implements durable.Machine: no rules exist yet.
+func (s *Server) Empty() bool {
 	s.mu.RLock()
-	lg := s.ledger
-	s.mu.RUnlock()
-	if lg == nil {
-		return errors.New("authz: no ledger attached")
-	}
-	return lg.WriteSnapshot(state, seq)
-}
-
-// StartSnapshotter runs SnapshotNow every interval while new WAL
-// records exist; the returned stop function halts it.
-func (s *Server) StartSnapshotter(interval time.Duration) (stop func()) {
-	s.mu.RLock()
-	lg := s.ledger
-	s.mu.RUnlock()
-	if lg == nil {
-		return func() {}
-	}
-	return lg.StartSnapshotter(interval, s.SnapshotNow)
-}
-
-// CloseLedger flushes and closes the attached ledger.
-func (s *Server) CloseLedger() error {
-	s.mu.Lock()
-	lg := s.ledger
-	s.ledger = nil
-	s.mu.Unlock()
-	if lg == nil {
-		return nil
-	}
-	return lg.Close()
+	defer s.mu.RUnlock()
+	return len(s.rules) == 0
 }

@@ -273,19 +273,29 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		return grantAt(t, ident, clk, 10*time.Minute), nil
 	}
 
+	// The shared clock stands still for the length of any one Get
+	// (many Gets still overlap each other and the background renewals):
+	// otherwise eight goroutines can push it past a fresh grant's
+	// lifetime between the grant reading the clock and Get's fail-closed
+	// expiry check, and Get rightly refuses the proxy.
+	var clkMu sync.RWMutex
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
+				clkMu.RLock()
 				p, err := c.Get("k", obs.NewTrace(), acquire)
+				clkMu.RUnlock()
 				if err != nil || p == nil {
 					t.Errorf("Get = (%v, %v)", p, err)
 					return
 				}
 				if j%10 == 9 {
+					clkMu.Lock()
 					clk.Advance(time.Minute)
+					clkMu.Unlock()
 				}
 			}
 		}()

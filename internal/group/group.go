@@ -19,7 +19,7 @@ import (
 
 	"proxykit/internal/audit"
 	"proxykit/internal/clock"
-	"proxykit/internal/ledger"
+	"proxykit/internal/durable"
 	"proxykit/internal/obs"
 	"proxykit/internal/principal"
 	"proxykit/internal/proxy"
@@ -45,14 +45,16 @@ type Server struct {
 	// every global group name this server maintains.
 	ID principal.ID
 
+	// Store owns the ledger, the commit gate, recovery, and replication
+	// apply; persist.go implements its Machine.
+	durable.Store
+
 	identity *pubkey.Identity
 	clk      clock.Clock
 
 	mu      sync.RWMutex
 	groups  map[string]*members
 	journal *audit.Journal
-	ledger  *ledger.Ledger
-	gate    func() error // commit gate; non-nil refusal blocks mutations
 }
 
 // SetJournal attaches an audit journal; every Grant decision is sealed
@@ -68,12 +70,14 @@ func New(identity *pubkey.Identity, clk clock.Clock) *Server {
 	if clk == nil {
 		clk = clock.System{}
 	}
-	return &Server{
+	s := &Server{
 		ID:       identity.ID,
 		identity: identity,
 		clk:      clk,
 		groups:   make(map[string]*members),
 	}
+	s.Bind(s, "group")
+	return s
 }
 
 // Global returns the global name of a local group.

@@ -7,12 +7,9 @@ package group
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
-	"time"
 
-	"proxykit/internal/ledger"
 	"proxykit/internal/principal"
 )
 
@@ -31,26 +28,29 @@ const (
 	gopRemoveMember = "remove-member"
 )
 
-// commitLocked appends the op and applies it; callers hold the write
-// lock. With no ledger attached the apply is immediate. An append
-// failure skips the mutation — the ledger fails closed, and a change
+// commitLocked logs the op and applies it; callers hold the write
+// lock. A refused or failed WriteAhead skips the mutation — a change
 // that is not durable must not become visible.
 func (s *Server) commitLocked(o *groupOp) error {
-	if s.gate != nil {
-		if err := s.gate(); err != nil {
-			return err
-		}
-	}
-	if s.ledger != nil {
-		raw, err := json.Marshal(o)
-		if err != nil {
-			return err
-		}
-		if _, err := s.ledger.Append(raw); err != nil {
-			return fmt.Errorf("group: %w", err)
-		}
+	if err := s.WriteAhead(func() ([]byte, error) { return json.Marshal(o) }); err != nil {
+		return err
 	}
 	return s.applyLocked(o)
+}
+
+// Apply implements durable.Machine: recovery and replication replay a
+// record through the same applyLocked the live mutators use.
+func (s *Server) Apply(record []byte, logged func() error) error {
+	var o groupOp
+	if err := json.Unmarshal(record, &o); err != nil {
+		return fmt.Errorf("group: decode WAL op: %w", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := logged(); err != nil {
+		return err
+	}
+	return s.applyLocked(&o)
 }
 
 // applyLocked mutates in-memory state for one op — shared by the live
@@ -106,9 +106,10 @@ type snapState struct {
 	Groups []snapGroup `json:"groups"`
 }
 
-// SnapshotState captures the full database and the WAL sequence the
-// capture covers.
-func (s *Server) SnapshotState() ([]byte, uint64, error) {
+// Snapshot implements durable.Machine: the full database as a
+// deterministic JSON document. Mutators hold mu across append+apply, so
+// no commit is mid-flight when captured runs.
+func (s *Server) Snapshot(captured func()) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := snapState{}
@@ -131,21 +132,20 @@ func (s *Server) SnapshotState() ([]byte, uint64, error) {
 	}
 	raw, err := json.Marshal(st)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	var seq uint64
-	if s.ledger != nil {
-		seq = s.ledger.LastSeq()
-	}
-	return raw, seq, nil
+	captured()
+	return raw, nil
 }
 
-// restoreLocked rebuilds the database from a snapshot document.
-func (s *Server) restoreLocked(raw []byte) error {
+// Restore implements durable.Machine: the document is decoded into a
+// fresh map, and only a fully decoded database replaces the live one.
+func (s *Server) Restore(raw []byte, swapped func() error) error {
 	var st snapState
 	if err := json.Unmarshal(raw, &st); err != nil {
 		return fmt.Errorf("group: restore snapshot: %w", err)
 	}
+	groups := make(map[string]*members, len(st.Groups))
 	for _, sg := range st.Groups {
 		g := &members{principals: principal.NewSet()}
 		for _, ps := range sg.Principals {
@@ -162,85 +162,17 @@ func (s *Server) restoreLocked(raw []byte) error {
 			}
 			g.nested = append(g.nested, sub)
 		}
-		s.groups[sg.Name] = g
-	}
-	return nil
-}
-
-// OpenLedger attaches a durable ledger to a fresh server, restoring any
-// snapshot and replaying the WAL tail.
-func (s *Server) OpenLedger(o ledger.Options) (*ledger.Recovery, error) {
-	lg, rec, err := ledger.Open(o)
-	if err != nil {
-		return nil, err
+		groups[sg.Name] = g
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ledger != nil {
-		lg.Close()
-		return nil, errors.New("group: ledger already open")
-	}
-	if len(s.groups) != 0 {
-		lg.Close()
-		return nil, errors.New("group: OpenLedger requires a server with no groups yet")
-	}
-	if rec.Snapshot != nil {
-		if err := s.restoreLocked(rec.Snapshot); err != nil {
-			lg.Close()
-			return nil, err
-		}
-	}
-	for _, e := range rec.Entries {
-		var o groupOp
-		if err := json.Unmarshal(e.Data, &o); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("group: WAL record %d: %w", e.Seq, err)
-		}
-		if err := s.applyLocked(&o); err != nil {
-			lg.Close()
-			return nil, fmt.Errorf("group: replay record %d: %w", e.Seq, err)
-		}
-	}
-	s.ledger = lg
-	return rec, nil
+	s.groups = groups
+	return swapped()
 }
 
-// SnapshotNow captures the current database and commits it as a
-// snapshot.
-func (s *Server) SnapshotNow() error {
-	state, seq, err := s.SnapshotState()
-	if err != nil {
-		return err
-	}
+// Empty implements durable.Machine: no groups exist yet.
+func (s *Server) Empty() bool {
 	s.mu.RLock()
-	lg := s.ledger
-	s.mu.RUnlock()
-	if lg == nil {
-		return errors.New("group: no ledger attached")
-	}
-	return lg.WriteSnapshot(state, seq)
-}
-
-// StartSnapshotter runs SnapshotNow every interval while new WAL
-// records exist; the returned stop function halts it.
-func (s *Server) StartSnapshotter(interval time.Duration) (stop func()) {
-	s.mu.RLock()
-	lg := s.ledger
-	s.mu.RUnlock()
-	if lg == nil {
-		return func() {}
-	}
-	return lg.StartSnapshotter(interval, s.SnapshotNow)
-}
-
-// CloseLedger flushes and closes the attached ledger.
-func (s *Server) CloseLedger() error {
-	s.mu.Lock()
-	lg := s.ledger
-	s.ledger = nil
-	s.mu.Unlock()
-	if lg == nil {
-		return nil
-	}
-	return lg.Close()
+	defer s.mu.RUnlock()
+	return len(s.groups) == 0
 }

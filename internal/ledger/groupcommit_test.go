@@ -243,37 +243,6 @@ func TestAppendHookInOrder(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDisabled checks the NoGroupCommit escape hatch still
-// commits durably and replays.
-func TestGroupCommitDisabled(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(Options{Dir: dir, Fsync: FsyncAlways, NoGroupCommit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				if _, err := l.Append([]byte("plain")); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := openT(t, dir, FsyncAlways)
-	if rec.Replayed() != 40 {
-		t.Fatalf("replayed %d, want 40", rec.Replayed())
-	}
-}
-
 // TestSnapshotSkipsTruncateWithPendingCohort covers the writeSnapshot
 // guard: frames accumulated for a cohort that has not flushed yet must
 // keep the WAL from being truncated underneath them.

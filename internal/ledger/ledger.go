@@ -139,11 +139,6 @@ type Options struct {
 	// FsyncInterval is the timer period for FsyncInterval mode;
 	// defaults to 100ms.
 	FsyncInterval time.Duration
-	// NoGroupCommit disables commit-cohort batching in FsyncAlways mode,
-	// reverting to one write+fsync per append. Group commit never weakens
-	// durability — Append still returns only after its record is synced —
-	// so this exists for benchmarking the amortization and bisection.
-	NoGroupCommit bool
 	// Logger receives recovery and snapshot diagnostics; nil discards.
 	Logger *slog.Logger
 }
@@ -177,7 +172,6 @@ type Ledger struct {
 	dir    string
 	mode   FsyncMode
 	logger *slog.Logger
-	group  bool // batch concurrent FsyncAlways appends into commit cohorts
 
 	// syncMu serializes batch I/O — cohort flushes, Sync, Close, and
 	// snapshot truncation — against the group-commit leader, which
@@ -206,7 +200,7 @@ type Ledger struct {
 	closed    bool
 	hook      func(seq uint64)
 	hookGate  chan struct{} // closed once the newest append's hook has run
-	syncFault func() error  // test hook: injected fsync failure (set before use)
+	syncFault func() error  // injected fsync failure; see InjectSyncFault
 
 	snapErr   error     // last background/explicit snapshot failure, nil after success
 	snapErrAt time.Time // when snapErr was recorded
@@ -282,7 +276,6 @@ func Open(o Options) (*Ledger, *Recovery, error) {
 		dir:     o.Dir,
 		mode:    o.Fsync,
 		logger:  logger,
-		group:   o.Fsync == FsyncAlways && !o.NoGroupCommit,
 		f:       f,
 		snapSeq: rec.SnapshotSeq,
 		seq:     rec.SnapshotSeq,
@@ -509,8 +502,8 @@ func appendFrame(dst []byte, seq uint64, payload []byte) []byte {
 // is on its way to disk (per the fsync policy) before Append returns;
 // callers apply the in-memory mutation only after a successful Append.
 //
-// Under FsyncAlways with group commit, concurrent callers share one
-// write+fsync: the caller that opens a cohort leads it, everyone who
+// Under FsyncAlways concurrent callers share one write+fsync (group
+// commit; a lone caller is a one-member cohort): the caller that opens a cohort leads it, everyone who
 // joins before the leader swaps the batch out rides along, and all of
 // them block until the cohort's single fsync completes (or fails, which
 // fails every member and the ledger itself).
@@ -539,7 +532,7 @@ func (l *Ledger) Append(payload []byte) (uint64, error) {
 	switch {
 	case l.mode == FsyncOff:
 		l.buf = appendFrame(l.buf, seq, payload)
-	case l.mode == FsyncAlways && l.group:
+	case l.mode == FsyncAlways:
 		if l.pending == nil && l.spare != nil {
 			l.pending, l.spare = l.spare[:0], nil
 		}
@@ -550,16 +543,12 @@ func (l *Ledger) Append(payload []byte) (uint64, error) {
 		}
 		c = l.cohort
 		c.n++
-	default:
+	default: // FsyncInterval: write now, the sync loop makes it durable
 		frame := appendFrame(nil, seq, payload)
 		_, err = l.f.Write(frame)
 		if err == nil {
 			l.size += int64(len(frame))
-			if l.mode == FsyncAlways {
-				err = l.syncLocked()
-			} else {
-				l.dirty = true
-			}
+			l.dirty = true
 		}
 	}
 	if err != nil {
@@ -700,6 +689,16 @@ func (l *Ledger) fsync(f *os.File) error {
 		err = l.syncFault()
 	}
 	return err
+}
+
+// InjectSyncFault makes every fsync from now on also report fn's error;
+// nil removes the fault. It is the seam tests outside this package use
+// to drive an owner's fail-closed path; call it with no append in
+// flight.
+func (l *Ledger) InjectSyncFault(fn func() error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.syncFault = fn
 }
 
 // syncLocked fsyncs the WAL file, timing the call.
