@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check perfbench-check audit-verify gateway-smoke loadgen-smoke repl-smoke soak bench bench-smoke bench-rpc bench-loadgen crash experiments examples cover fuzz clean
+.PHONY: all build vet test race check perfbench-check audit-verify gateway-smoke repl-smoke soak bench bench-smoke crash experiments examples cover fuzz clean
 
 all: check
 
@@ -63,13 +63,6 @@ repl-smoke:
 	$(GO) test ./internal/repl/ -run 'TestStandbyTailsPrimary|TestSemiSync|TestCatchUpViaSnapshot|TestPromote' -v -count=1
 	$(GO) test ./internal/integration/ -run TestReplFailoverOverTCP -v -count=1
 
-# Seeded 5-second mixed workload (authorize/transfer/deposit/gateway)
-# through the full in-process topology via the open-loop generator:
-# asserts zero SLO parse errors, zero op errors, and a well-formed
-# BENCH_PR7.json report document.
-loadgen-smoke:
-	$(GO) test ./internal/loadgen/ -run TestLoadgenSmoke -v -count=1 -loadgen.duration=5s
-
 # Kill-and-recover chaos suite: SIGKILL a bank at a fault-injected WAL
 # append boundary, replay the ledger, and audit the recovered books
 # (internal/chaos/crash_recovery_test.go), plus the lossless-recovery
@@ -95,6 +88,10 @@ soak:
 	$(GO) test ./internal/soak/ -run TestSoakStorm -v -count=1 \
 		-timeout $(SOAK_TIMEOUT) -soak.time=$(SOAK_TIME) -soak.seed=$(SOAK_SEED)
 
+# Microbenchmarks: the timed kernels behind the paper-figure
+# experiments E1–E11 (root bench_test.go, BenchmarkE<n>*) plus the TCP
+# transport benchmarks. They time pieces in isolation; `bash
+# perfbench/run.sh` is the only end-to-end performance number.
 bench:
 	$(GO) test -bench=. -benchmem . ./internal/transport/
 
@@ -103,16 +100,9 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/transport/ ./internal/accounting/
 
-# Regenerate BENCH_PR4.json (multiplexed-vs-serialized RPC throughput,
-# cold-vs-warm chain-cache authorize latency).
-bench-rpc:
-	$(GO) run ./cmd/benchrpc -o BENCH_PR4.json
-
-# Regenerate BENCH_PR7.json (open-loop mixed workload against the
-# in-process topology, judged against the standard SLO objectives).
-bench-loadgen:
-	$(GO) run ./cmd/loadgen -o BENCH_PR7.json
-
+# The paper-figure experiments E1–E11 as shaped result tables (message
+# counts, modeled latencies, baseline comparisons). Not a performance
+# measurement; `bash perfbench/run.sh` is the only end-to-end number.
 experiments:
 	$(GO) run ./cmd/benchproxy
 

@@ -215,8 +215,15 @@ func journalHasTrace(j *audit.Journal, kind, traceID string) bool {
 // authorizes against the end-server and transfers funds at the bank
 // through the gateway, and one trace ID joins the HTTP request to the
 // downstream RPC spans and to the audit journals of the gateway AND the
-// daemon that served the operation.
+// daemon that served the operation. It also checks that the TCP server
+// and the gateway router feed the process-wide SLO engine.
 func TestGatewayEndToEnd(t *testing.T) {
+	var objectives []obs.Objective
+	for _, method := range []string{"end.request", "acct.transfer", "POST /v1/authorize"} {
+		objectives = append(objectives, obs.Objective{Method: method, Target: time.Minute, Quantile: 0.99})
+	}
+	obs.DefaultSLO.Configure(objectives)
+	t.Cleanup(func() { obs.DefaultSLO.Configure(nil) })
 	d := newGatewayDeployment(t)
 	before := takeSnapshot(t)
 
@@ -300,6 +307,18 @@ func TestGatewayEndToEnd(t *testing.T) {
 	code, doc, _ = d.call("GET", "/v1/balance?account=ci&currency=dollars", ciToken, "", nil)
 	if code != http.StatusOK || doc["balance"] != float64(380) {
 		t.Fatalf("balance = %d %v, want 380", code, doc)
+	}
+
+	// Every armed objective was observed: end.request and acct.transfer
+	// by the TCP servers, POST /v1/authorize by the gateway router.
+	report := obs.DefaultSLO.Report()
+	if len(report) != len(objectives) {
+		t.Fatalf("SLO report has %d objectives, want %d: %+v", len(report), len(objectives), report)
+	}
+	for _, o := range report {
+		if o.Total < 1 {
+			t.Errorf("SLO objective %q saw no observations", o.Method)
+		}
 	}
 }
 

@@ -285,6 +285,56 @@ func TestObservabilityDocCatalogue(t *testing.T) {
 	}
 }
 
+var (
+	// docMakeRE matches a backticked `make <target>` in prose, allowing
+	// a line break between "make" and the target.
+	docMakeRE = regexp.MustCompile("`make\\s+([a-z][a-z0-9-]*)")
+	// ciMakeRE matches a workflow step's `run: make <target>`.
+	ciMakeRE = regexp.MustCompile(`run:\s*make\s+([a-z][a-z0-9-]*)`)
+	// makeTargetRE matches a rule's target at the start of a Makefile line.
+	makeTargetRE = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+)
+
+// TestDocMakeTargets checks that every `make <target>` the
+// documentation and CI tell a reader to run is defined in the Makefile.
+// CHANGES.md and ROADMAP.md are history and may name retired targets.
+func TestDocMakeTargets(t *testing.T) {
+	raw, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := make(map[string]bool)
+	for _, m := range makeTargetRE.FindAllStringSubmatch(string(raw), -1) {
+		defined[m[1]] = true
+	}
+	sources := map[string]*regexp.Regexp{
+		"README.md":                      docMakeRE,
+		"DESIGN.md":                      docMakeRE,
+		"TESTING.md":                     docMakeRE,
+		"OBSERVABILITY.md":               docMakeRE,
+		"GATEWAY.md":                     docMakeRE,
+		"EXPERIMENTS.md":                 docMakeRE,
+		".claude/skills/verify/SKILL.md": docMakeRE,
+		".github/workflows/ci.yml":       ciMakeRE,
+	}
+	refs := 0
+	for name, re := range sources {
+		raw, err := os.ReadFile("../../" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range re.FindAllStringSubmatch(string(raw), -1) {
+			refs++
+			if !defined[m[1]] {
+				t.Errorf("%s names `make %s`, which the Makefile does not define", name, m[1])
+			}
+		}
+	}
+	if refs == 0 {
+		t.Fatal("no `make <target>` references found; the patterns are stale")
+	}
+}
+
 // auditKindRE matches backticked audit kinds like `acct.deposit` in
 // the documentation's kinds table.
 var auditKindRE = regexp.MustCompile("`((?:end|authz|group|acct|gateway)\\.[a-z-]+)`")

@@ -1,13 +1,14 @@
 package loadgen
 
 // Scenario actors: the individual operations a simulated principal can
-// perform against the topology, factored out of the load-generator op
-// table so richer harnesses (the soak world) can compose them with
-// their own scheduling, amounts, and trace contexts.
+// perform against the topology, which the soak world composes with its
+// own scheduling, amounts, and trace contexts.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"time"
 
 	"proxykit/internal/accounting"
@@ -62,8 +63,26 @@ func (t *Topology) Deposit(p int, amount int64) error {
 }
 
 // Gateway authorizes through the HTTP edge with principal p's bearer
-// token.
-func (t *Topology) Gateway(p int) error { return t.opGateway(p) }
+// token (route "POST /v1/authorize" → end.request downstream).
+func (t *Topology) Gateway(p int) error {
+	s := t.sims[p%len(t.sims)]
+	req, err := http.NewRequest("POST", t.GatewayURL+"/v1/authorize",
+		bytes.NewReader([]byte(`{"object":"/shared/doc","op":"read"}`)))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Authorization", "Bearer "+s.token)
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := t.httpc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("gateway authorize: %s", resp.Status)
+	}
+	return nil
+}
 
 // Login performs the full Kerberos exchange for principal p: password
 // AS login for a TGT, then a TGS request for a service ticket to the

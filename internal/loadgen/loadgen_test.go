@@ -1,241 +1,59 @@
 package loadgen
 
 import (
-	"encoding/json"
-	"errors"
-	"flag"
-	"os"
-	"path/filepath"
+	"math/rand"
+	"sync"
 	"testing"
-	"time"
 )
 
-// smokeDuration is how long TestLoadgenSmoke generates arrivals. The
-// default keeps `go test ./...` fast; `make loadgen-smoke` raises it.
-var smokeDuration = flag.Duration("loadgen.duration", 2*time.Second, "arrival window for TestLoadgenSmoke")
-
-func TestParseMix(t *testing.T) {
-	mix, err := ParseMix("authorize=0.4, transfer=0.3,deposit=0.2,gateway=0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mix) != 4 || mix["authorize"] != 0.4 || mix["gateway"] != 0.1 {
-		t.Fatalf("mix = %v", mix)
-	}
-	if mix, err := ParseMix(""); err != nil || len(mix) != 0 {
-		t.Fatalf("empty mix = %v, %v", mix, err)
-	}
-	for _, bad := range []string{"authorize", "authorize=x", "authorize=-1"} {
-		if _, err := ParseMix(bad); err == nil {
-			t.Errorf("ParseMix(%q) accepted a malformed mix", bad)
-		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	sorted := make([]time.Duration, 100)
-	for i := range sorted {
-		sorted[i] = time.Duration(i+1) * time.Millisecond
-	}
-	if q := quantile(sorted, 0.50); q != 50*time.Millisecond {
-		t.Errorf("p50 = %v", q)
-	}
-	if q := quantile(sorted, 0.99); q != 99*time.Millisecond {
-		t.Errorf("p99 = %v", q)
-	}
-	if q := quantile(sorted, 0.999); q != 100*time.Millisecond {
-		t.Errorf("p99.9 = %v", q)
-	}
-	if q := quantile(nil, 0.5); q != 0 {
-		t.Errorf("empty = %v", q)
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	noop := []Op{{Name: "noop", Do: func(int) error { return nil }}}
-	if _, err := Run(Config{Rate: 0, Duration: time.Second}, noop); err == nil {
-		t.Error("Run accepted rate 0")
-	}
-	if _, err := Run(Config{Rate: 10, Duration: 0}, noop); err == nil {
-		t.Error("Run accepted duration 0")
-	}
-	if _, err := Run(Config{Rate: 10, Duration: time.Second, SLO: "nonsense"}, noop); err == nil {
-		t.Error("Run accepted a malformed SLO spec")
-	}
-	if _, err := Run(Config{Rate: 10, Duration: time.Second, Mix: map[string]float64{"missing": 1}}, noop); err == nil {
-		t.Error("Run accepted a mix naming an unknown op")
-	}
-	if _, err := Run(Config{Rate: 10, Duration: time.Second, Mix: map[string]float64{"noop": 0}}, noop); err == nil {
-		t.Error("Run accepted a mix selecting no ops")
-	}
-}
-
-// TestRunOpenLoop drives Run against in-memory ops and checks the
-// report's accounting: offered matches the rate×duration schedule,
-// every arrival completes, errors are counted, and the SLO engine's
-// verdicts ride along.
-func TestRunOpenLoop(t *testing.T) {
-	ops := []Op{
-		{Name: "ok", Do: func(int) error { return nil }},
-		{Name: "fail", Do: func(int) error { return errors.New("boom") }},
-	}
-	rep, err := Run(Config{
-		Rate: 500, Duration: 200 * time.Millisecond, Principals: 3, Seed: 7,
-		Mix: map[string]float64{"ok": 0.8, "fail": 0.2},
-		SLO: "ok<1s@p99",
-	}, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Offered == 0 || rep.Completed != rep.Offered {
-		t.Fatalf("offered=%d completed=%d", rep.Offered, rep.Completed)
-	}
-	if rep.Ops["ok"].Count == 0 || rep.Ops["fail"].Count == 0 {
-		t.Fatalf("ops = %+v", rep.Ops)
-	}
-	if rep.Ops["fail"].Errors != rep.Ops["fail"].Count {
-		t.Fatalf("fail op: %d errors of %d calls", rep.Ops["fail"].Errors, rep.Ops["fail"].Count)
-	}
-	if rep.Ops["ok"].Errors != 0 {
-		t.Fatalf("ok op reported %d errors", rep.Ops["ok"].Errors)
-	}
-	if rep.AchievedRatePerSec <= 0 {
-		t.Fatal("achieved rate missing")
-	}
-	if len(rep.SLO) != 1 || rep.SLO[0].Method != "ok" {
-		t.Fatalf("slo report = %+v", rep.SLO)
-	}
-	// The same seed replays the same schedule.
-	rep2, err := Run(Config{
-		Rate: 500, Duration: 200 * time.Millisecond, Principals: 3, Seed: 7,
-		Mix: map[string]float64{"ok": 0.8, "fail": 0.2},
-	}, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Ops["ok"].Count != rep.Ops["ok"].Count || rep2.Ops["fail"].Count != rep.Ops["fail"].Count {
-		t.Fatalf("seeded runs diverged: %+v vs %+v", rep.Ops, rep2.Ops)
-	}
-}
-
-// TestRunSeededDeterminism: a fixed seed plus a fixed op count pin the
-// whole schedule — two independent runs report the same per-op mix and
-// drive two fresh topologies into identical balance state (transfers
-// and deposits move fixed amounts, so the final balances depend only
-// on the drawn schedule, not on execution interleaving).
+// TestRunSeededDeterminism: a fixed seed pins the whole op schedule, so
+// two fresh topologies driven by it end in identical balance state even
+// though the ops run concurrently (transfers and deposits move fixed
+// amounts, so the final balances depend only on the drawn schedule, not
+// on execution interleaving).
 func TestRunSeededDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("topology runs are not short")
 	}
-	run := func() (map[string]*OpReport, string) {
+	const principals, ops, workers = 4, 300, 8
+	run := func() string {
 		t.Helper()
-		topo, err := NewTopology(4)
+		topo, err := NewTopologyWith(Options{Principals: principals})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer topo.Close()
-		rep, err := Run(Config{
-			Rate: 2000, MaxOps: 300, Principals: 4, Seed: 11,
-			Mix: map[string]float64{"authorize": 0.3, "transfer": 0.3, "deposit": 0.3, "gateway": 0.1},
-		}, topo.Ops())
-		if err != nil {
-			t.Fatal(err)
+		actors := []struct {
+			name string
+			do   func(p int) error
+		}{
+			{"authorize", topo.Authorize},
+			{"transfer", func(p int) error { return topo.Transfer(p, 1) }},
+			{"deposit", func(p int) error { return topo.Deposit(p, 1) }},
+			{"gateway", topo.Gateway},
 		}
-		if rep.Offered != 300 || rep.Completed != 300 {
-			t.Fatalf("offered=%d completed=%d, want 300 each", rep.Offered, rep.Completed)
+		rng := rand.New(rand.NewSource(11))
+		sem := make(chan struct{}, workers)
+		var wg sync.WaitGroup
+		for i := 0; i < ops; i++ {
+			a, p := actors[rng.Intn(len(actors))], rng.Intn(principals)
+			sem <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer func() { <-sem; wg.Done() }()
+				// Determinism only holds if every op applied its state change.
+				if err := a.do(p); err != nil {
+					t.Errorf("%s as p%d: %v", a.name, p, err)
+				}
+			}()
 		}
-		// Determinism only holds if every op applied its state change.
-		for name, op := range rep.Ops {
-			if op.Errors != 0 {
-				t.Fatalf("op %s: %d/%d errors", name, op.Errors, op.Count)
-			}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
 		}
-		return rep.Ops, topo.StateDigest()
+		return topo.StateDigest()
 	}
-	ops1, dig1 := run()
-	ops2, dig2 := run()
-	for name, op := range ops1 {
-		if op.Count != ops2[name].Count {
-			t.Errorf("op %s count diverged: %d vs %d", name, op.Count, ops2[name].Count)
-		}
-	}
-	if dig1 != dig2 {
+	if dig1, dig2 := run(), run(); dig1 != dig2 {
 		t.Errorf("seeded runs left different topology state:\n  %s\n  %s", dig1, dig2)
-	}
-}
-
-// TestLoadgenSmoke is the `make loadgen-smoke` entry point: the full
-// in-process topology under a seeded mixed workload, judged against
-// the standard SLO spec, with the report round-tripping as the
-// BENCH_PR7.json document.
-func TestLoadgenSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loadgen smoke is not short")
-	}
-	topo, err := NewTopology(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer topo.Close()
-
-	slo := "end.request<250ms@p99,acct.transfer<250ms@p99,acct.deposit-check<500ms@p99,POST /v1/authorize<1s@p99"
-	rep, err := Run(Config{
-		Rate:       50,
-		Duration:   *smokeDuration,
-		Principals: 6,
-		Mix:        map[string]float64{"authorize": 0.4, "transfer": 0.3, "deposit": 0.2, "gateway": 0.1},
-		Seed:       42,
-		SLO:        slo,
-	}, topo.Ops())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if rep.Offered == 0 || rep.Completed != rep.Offered {
-		t.Fatalf("offered=%d completed=%d", rep.Offered, rep.Completed)
-	}
-	for _, name := range []string{"authorize", "transfer", "deposit", "gateway"} {
-		op := rep.Ops[name]
-		if op == nil || op.Count == 0 {
-			t.Fatalf("op %s never ran: %+v", name, rep.Ops)
-		}
-		if op.Errors != 0 {
-			t.Errorf("op %s: %d/%d errors", name, op.Errors, op.Count)
-		}
-		if op.P50Ns <= 0 || op.P99Ns < op.P50Ns || op.MaxNs < op.P99Ns {
-			t.Errorf("op %s distribution malformed: %+v", name, op)
-		}
-	}
-	if len(rep.SLO) != 4 {
-		t.Fatalf("slo report has %d objectives, want 4: %+v", len(rep.SLO), rep.SLO)
-	}
-	for _, o := range rep.SLO {
-		if o.Total == 0 {
-			t.Errorf("objective %s saw no observations", o.Method)
-		}
-	}
-
-	// The report must be a well-formed BENCH_PR7.json document.
-	path := filepath.Join(t.TempDir(), "BENCH_PR7.json")
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("report does not round-trip: %v", err)
-	}
-	if back.Config.Seed != 42 || back.Config.SLO != slo || back.Offered != rep.Offered {
-		t.Fatalf("round-tripped report diverged: %+v", back.Config)
-	}
-	if len(back.Ops) != 4 || len(back.SLO) != 4 {
-		t.Fatalf("round-tripped report lost sections: ops=%d slo=%d", len(back.Ops), len(back.SLO))
 	}
 }

@@ -1,7 +1,11 @@
+// Package loadgen is the in-process deployment fixture the soak storm
+// (internal/soak) drives: a Topology of real daemons over TCP with
+// simulated principals pre-provisioned against it, and the scenario
+// actors (actors.go) that each perform one operation as a principal.
+// It is not a benchmark; perfbench/ measures the path acctd runs.
 package loadgen
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -47,16 +51,15 @@ type sim struct {
 	token    string
 }
 
-// Options parameterizes NewTopologyWith. The zero value plus Principals
-// reproduces NewTopology.
+// mintPerPrincipal is the dollars minted into each principal's account
+// (and, with Options.SecondBank, into each payor account there).
+const mintPerPrincipal = 1_000_000_000
+
+// Options parameterizes NewTopologyWith.
 type Options struct {
 	// Principals is how many simulated principals to provision; <= 0
 	// means 1.
 	Principals int
-	// MintPerPrincipal is the dollars minted into each principal's
-	// account (and, with SecondBank, into each payor account there);
-	// <= 0 defaults to 1_000_000_000.
-	MintPerPrincipal int64
 	// JournalDir, when non-empty, attaches hash-chained file journals
 	// to the banks (bank1.jsonl, bank2.jsonl) so an external verifier
 	// can re-walk them while the workload runs.
@@ -79,8 +82,9 @@ const SecondRealm = "LOAD2.EXAMPLE.ORG"
 
 // Topology is a full in-process deployment — group, authz, end-server,
 // and accounting daemons over real TCP plus the HTTP gateway — with N
-// simulated principals provisioned against it. It is the fixture
-// `cmd/loadgen`, the loadgen-smoke CI target, and the soak world drive.
+// simulated principals provisioned against it. The soak world drives
+// it through the actors; the seeded-determinism test checks that equal
+// op schedules leave equal state.
 type Topology struct {
 	StateDir string
 
@@ -111,22 +115,14 @@ func (t *Topology) Close() {
 	}
 }
 
-// NewTopology stands up the deployment and provisions n principals:
-// every principal is in the "staff" group, staff may read /shared/doc
-// on the end-server, each principal owns a funded account, and each
-// holds a delegate authorization proxy acquired through the real
-// group-server → authz-server cascade.
-func NewTopology(n int) (*Topology, error) {
-	return NewTopologyWith(Options{Principals: n})
-}
-
-// NewTopologyWith stands up the deployment per opts.
+// NewTopologyWith stands up the deployment per opts and provisions its
+// principals: every principal is in the "staff" group, staff may read
+// /shared/doc on the end-server, each principal owns a funded account,
+// and each holds a delegate authorization proxy acquired through the
+// real group-server → authz-server cascade.
 func NewTopologyWith(opts Options) (*Topology, error) {
 	if opts.Principals <= 0 {
 		opts.Principals = 1
-	}
-	if opts.MintPerPrincipal <= 0 {
-		opts.MintPerPrincipal = 1_000_000_000
 	}
 	state, err := os.MkdirTemp("", "loadgen-state-")
 	if err != nil {
@@ -247,20 +243,20 @@ func (t *Topology) build(n int) error {
 		if err := t.bank.CreateAccount(name, ident.ID); err != nil {
 			return err
 		}
-		if err := t.bank.Mint(name, "dollars", t.opts.MintPerPrincipal); err != nil {
+		if err := t.bank.Mint(name, "dollars", mintPerPrincipal); err != nil {
 			return err
 		}
-		t.minted["dollars"] += t.opts.MintPerPrincipal
+		t.minted["dollars"] += mintPerPrincipal
 		s := &sim{ident: ident, acct: name}
 		if t.bank2 != nil {
 			s.acct2 = fmt.Sprintf("c%d", i)
 			if err := t.bank2.CreateAccount(s.acct2, ident.ID); err != nil {
 				return err
 			}
-			if err := t.bank2.Mint(s.acct2, "dollars", t.opts.MintPerPrincipal); err != nil {
+			if err := t.bank2.Mint(s.acct2, "dollars", mintPerPrincipal); err != nil {
 				return err
 			}
-			t.minted["dollars"] += t.opts.MintPerPrincipal
+			t.minted["dollars"] += mintPerPrincipal
 		}
 		if t.kdc != nil {
 			s.password = "pw-" + name
@@ -400,18 +396,6 @@ func (t *Topology) Bank() *accounting.Server { return t.bank }
 // SecondBank returns the drawee bank, nil unless Options.SecondBank.
 func (t *Topology) SecondBank() *accounting.Server { return t.bank2 }
 
-// GroupServer returns the group-membership server.
-func (t *Topology) GroupServer() *group.Server { return t.groupSrv }
-
-// EndServerID returns the end-server's principal identity.
-func (t *Topology) EndServerID() principal.ID { return t.fileID }
-
-// SimCount returns how many principals are provisioned.
-func (t *Topology) SimCount() int { return len(t.sims) }
-
-// SimIdentity returns principal i's identity.
-func (t *Topology) SimIdentity(i int) *pubkey.Identity { return t.sims[i%len(t.sims)].ident }
-
 // SimAccount returns principal i's account name at the main bank.
 func (t *Topology) SimAccount(i int) string { return t.sims[i%len(t.sims)].acct }
 
@@ -461,57 +445,4 @@ func (t *Topology) StateDigest() string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Ops returns the four workload operations over this topology. The
-// principal index selects which sim acts.
-func (t *Topology) Ops() []Op {
-	return []Op{
-		{Name: "authorize", Do: t.opAuthorize},
-		{Name: "transfer", Do: t.opTransfer},
-		{Name: "deposit", Do: t.opDeposit},
-		{Name: "gateway", Do: t.opGateway},
-	}
-}
-
-// opAuthorize presents the principal's cascaded authorization proxy to
-// the end-server (method end.request).
-func (t *Topology) opAuthorize(p int) error {
-	return t.Authorize(p)
-}
-
-// opTransfer moves one dollar to the next principal's account (method
-// acct.transfer).
-func (t *Topology) opTransfer(p int) error {
-	return t.Transfer(p, 1)
-}
-
-// opDeposit writes a check to the next principal, who endorses and
-// deposits it (method acct.depositCheck). The check write and
-// endorsement are client-side crypto; only the deposit RPC is the
-// measured server interaction, but the full §7.7 instrument flow runs.
-func (t *Topology) opDeposit(p int) error {
-	return t.Deposit(p, 1)
-}
-
-// opGateway authorizes through the HTTP edge with the principal's
-// bearer token (route "POST /v1/authorize" → end.request downstream).
-func (t *Topology) opGateway(p int) error {
-	s := t.sims[p%len(t.sims)]
-	req, err := http.NewRequest("POST", t.GatewayURL+"/v1/authorize",
-		bytes.NewReader([]byte(`{"object":"/shared/doc","op":"read"}`)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Authorization", "Bearer "+s.token)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := t.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("gateway authorize: %s", resp.Status)
-	}
-	return nil
 }
