@@ -27,7 +27,7 @@ race:
 	$(GO) test -race ./internal/transport/... ./internal/obs/... ./internal/accounting/... \
 		./internal/chaos/... ./internal/faultpoint/... ./internal/svc/... \
 		./internal/endserver/... ./internal/proxy/... ./internal/group/... \
-		./internal/ledger/... ./internal/gateway/... ./internal/loadgen/... \
+		./internal/ledger/... ./internal/gateway/... \
 		./internal/soak/... ./internal/repl/... ./internal/durable/... \
 		./internal/daemon/...
 

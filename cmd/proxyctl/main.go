@@ -34,16 +34,12 @@ import (
 	"proxykit/internal/proxy"
 	"proxykit/internal/pubkey"
 	"proxykit/internal/restrict"
-	"proxykit/internal/soak"
 	"proxykit/internal/statefile"
 	"proxykit/internal/svc"
 	"proxykit/internal/transport"
 )
 
 func main() {
-	// A soak child process re-execs this binary; the env gate turns it
-	// into the child bank before any flag parsing.
-	soak.MaybeRunChild()
 	var logOpts logging.Options
 	global := flag.NewFlagSet("proxyctl", flag.ExitOnError)
 	global.Usage = usage
@@ -87,8 +83,6 @@ func main() {
 		err = cmdSLO(args)
 	case "gateway":
 		err = cmdGateway(args)
-	case "soak":
-		err = cmdSoak(args)
 	case "promote":
 		err = cmdPromote(args)
 	case "repl-status":
@@ -120,7 +114,6 @@ commands:
   trace        assemble and render one distributed trace across daemons
   slo          report latency-objective compliance and error budgets
   gateway      inspect a gatewayd: sessions, token map, proxy cache
-  soak         run the continuous mixed-scenario storm with invariant verification
   promote      promote a standby daemon to primary (fenced failover)
   repl-status  print a daemon's replication role, term, and WAL position`)
 }

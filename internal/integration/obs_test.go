@@ -293,45 +293,63 @@ var (
 	ciMakeRE = regexp.MustCompile(`run:\s*make\s+([a-z][a-z0-9-]*)`)
 	// makeTargetRE matches a rule's target at the start of a Makefile line.
 	makeTargetRE = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+	// docProxyctlRE matches a backticked `proxyctl <command>` in prose.
+	docProxyctlRE = regexp.MustCompile("`proxyctl\\s+([a-z][a-z0-9-]*)")
+	// proxyctlCaseRE matches a command label in proxyctl's dispatch switch.
+	proxyctlCaseRE = regexp.MustCompile(`(?m)^\s*case "([a-z][a-z0-9-]*)":`)
 )
 
-// TestDocMakeTargets checks that every `make <target>` the
-// documentation and CI tell a reader to run is defined in the Makefile.
-// CHANGES.md and ROADMAP.md are history and may name retired targets.
+// TestDocMakeTargets checks that every command the documentation and CI
+// tell a reader to run exists: each `make <target>` is a Makefile rule
+// and each `proxyctl <command>` is a case of proxyctl's dispatch switch.
+// CHANGES.md and ROADMAP.md are history and may name retired commands.
 func TestDocMakeTargets(t *testing.T) {
-	raw, err := os.ReadFile("../../Makefile")
-	if err != nil {
-		t.Fatal(err)
+	docs := []string{
+		"README.md", "DESIGN.md", "TESTING.md", "OBSERVABILITY.md",
+		"GATEWAY.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md",
 	}
-	defined := make(map[string]bool)
-	for _, m := range makeTargetRE.FindAllStringSubmatch(string(raw), -1) {
-		defined[m[1]] = true
-	}
-	sources := map[string]*regexp.Regexp{
-		"README.md":                      docMakeRE,
-		"DESIGN.md":                      docMakeRE,
-		"TESTING.md":                     docMakeRE,
-		"OBSERVABILITY.md":               docMakeRE,
-		"GATEWAY.md":                     docMakeRE,
-		"EXPERIMENTS.md":                 docMakeRE,
-		".claude/skills/verify/SKILL.md": docMakeRE,
-		".github/workflows/ci.yml":       ciMakeRE,
-	}
-	refs := 0
-	for name, re := range sources {
-		raw, err := os.ReadFile("../../" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range re.FindAllStringSubmatch(string(raw), -1) {
-			refs++
-			if !defined[m[1]] {
-				t.Errorf("%s names `make %s`, which the Makefile does not define", name, m[1])
+	for _, tc := range []struct {
+		tool, defFile string
+		defRE, docRE  *regexp.Regexp
+		extra         map[string]*regexp.Regexp // non-doc sources
+	}{
+		{"make", "Makefile", makeTargetRE, docMakeRE,
+			map[string]*regexp.Regexp{".github/workflows/ci.yml": ciMakeRE}},
+		{"proxyctl", "cmd/proxyctl/main.go", proxyctlCaseRE, docProxyctlRE, nil},
+	} {
+		t.Run(tc.tool, func(t *testing.T) {
+			raw, err := os.ReadFile("../../" + tc.defFile)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if refs == 0 {
-		t.Fatal("no `make <target>` references found; the patterns are stale")
+			defined := make(map[string]bool)
+			for _, m := range tc.defRE.FindAllStringSubmatch(string(raw), -1) {
+				defined[m[1]] = true
+			}
+			sources := map[string]*regexp.Regexp{}
+			for _, name := range docs {
+				sources[name] = tc.docRE
+			}
+			for name, re := range tc.extra {
+				sources[name] = re
+			}
+			refs := 0
+			for name, re := range sources {
+				raw, err := os.ReadFile("../../" + name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range re.FindAllStringSubmatch(string(raw), -1) {
+					refs++
+					if !defined[m[1]] {
+						t.Errorf("%s names `%s %s`, which %s does not define", name, tc.tool, m[1], tc.defFile)
+					}
+				}
+			}
+			if refs == 0 {
+				t.Fatalf("no `%s <command>` references found; the patterns are stale", tc.tool)
+			}
+		})
 	}
 }
 

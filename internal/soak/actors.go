@@ -1,8 +1,8 @@
-package loadgen
+package soak
 
 // Scenario actors: the individual operations a simulated principal can
-// perform against the topology, which the soak world composes with its
-// own scheduling, amounts, and trace contexts.
+// perform against the topology, which the storm's op table (soak.go)
+// composes with its own scheduling, amounts, and trace contexts.
 
 import (
 	"bytes"
@@ -20,7 +20,7 @@ import (
 
 // Authorize presents principal p's cascaded authorization proxy to the
 // end-server over TCP (method end.request).
-func (t *Topology) Authorize(p int) error {
+func (t *topology) Authorize(p int) error {
 	s := t.sims[p%len(t.sims)]
 	_, err := s.end.Request(svc.RequestParams{
 		Object: "/shared/doc", Op: "read",
@@ -31,7 +31,7 @@ func (t *Topology) Authorize(p int) error {
 
 // Transfer moves amount dollars from principal p to the next principal
 // at the main bank (method acct.transfer).
-func (t *Topology) Transfer(p int, amount int64) error {
+func (t *topology) Transfer(p int, amount int64) error {
 	s := t.sims[p%len(t.sims)]
 	to := t.sims[(p+1)%len(t.sims)]
 	if to == s {
@@ -43,7 +43,7 @@ func (t *Topology) Transfer(p int, amount int64) error {
 // Deposit writes a same-bank check from principal p to the next
 // principal, who endorses and deposits it over TCP (the §7.7 instrument
 // flow with no clearing hop).
-func (t *Topology) Deposit(p int, amount int64) error {
+func (t *topology) Deposit(p int, amount int64) error {
 	payor := t.sims[p%len(t.sims)]
 	payee := t.sims[(p+1)%len(t.sims)]
 	check, err := accounting.WriteCheck(accounting.WriteCheckParams{
@@ -64,9 +64,9 @@ func (t *Topology) Deposit(p int, amount int64) error {
 
 // Gateway authorizes through the HTTP edge with principal p's bearer
 // token (route "POST /v1/authorize" → end.request downstream).
-func (t *Topology) Gateway(p int) error {
+func (t *topology) Gateway(p int) error {
 	s := t.sims[p%len(t.sims)]
-	req, err := http.NewRequest("POST", t.GatewayURL+"/v1/authorize",
+	req, err := http.NewRequest("POST", t.gatewayURL+"/v1/authorize",
 		bytes.NewReader([]byte(`{"object":"/shared/doc","op":"read"}`)))
 	if err != nil {
 		return err
@@ -86,12 +86,9 @@ func (t *Topology) Gateway(p int) error {
 
 // Login performs the full Kerberos exchange for principal p: password
 // AS login for a TGT, then a TGS request for a service ticket to the
-// end-server. Requires Options.KDC.
-func (t *Topology) Login(p int) error {
+// end-server.
+func (t *topology) Login(p int) error {
 	s := t.sims[p%len(t.sims)]
-	if t.kdc == nil {
-		return fmt.Errorf("loadgen: topology has no KDC")
-	}
 	c, err := kerberos.NewClientWithPassword(s.ident.ID, s.password, nil)
 	if err != nil {
 		return err
@@ -110,12 +107,9 @@ func (t *Topology) Login(p int) error {
 // check drawn on the principal's drawee-bank account, endorsed for
 // deposit to its collector-bank account, presented at the collector —
 // which clears it through the inter-bank hop. Returns the check number
-// so callers can track it through journals. Requires Options.SecondBank.
-func (t *Topology) ClearingDeposit(ctx context.Context, p int, amount int64) (string, error) {
+// so callers can track it through journals.
+func (t *topology) ClearingDeposit(ctx context.Context, p int, amount int64) (string, error) {
 	s := t.sims[p%len(t.sims)]
-	if t.bank2 == nil {
-		return "", fmt.Errorf("loadgen: topology has no second bank")
-	}
 	check, err := accounting.WriteCheck(accounting.WriteCheckParams{
 		Payor: s.ident, Bank: t.bank2.ID, Account: s.acct2,
 		Payee: s.ident.ID, Currency: "dollars", Amount: amount,
@@ -130,11 +124,8 @@ func (t *Topology) ClearingDeposit(ctx context.Context, p int, amount int64) (st
 // CertifiedDeposit is ClearingDeposit with a certification hold first:
 // the drawee certifies the check (placing a hold on the payor account),
 // then the certified check clears cross-bank, consuming the hold.
-func (t *Topology) CertifiedDeposit(ctx context.Context, p int, amount int64) (string, error) {
+func (t *topology) CertifiedDeposit(ctx context.Context, p int, amount int64) (string, error) {
 	s := t.sims[p%len(t.sims)]
-	if t.bank2 == nil {
-		return "", fmt.Errorf("loadgen: topology has no second bank")
-	}
 	check, err := accounting.WriteCheck(accounting.WriteCheckParams{
 		Payor: s.ident, Bank: t.bank2.ID, Account: s.acct2,
 		Payee: s.ident.ID, Currency: "dollars", Amount: amount,
@@ -151,9 +142,9 @@ func (t *Topology) CertifiedDeposit(ctx context.Context, p int, amount int64) (s
 
 // presentAtCollector endorses a drawee-bank check to the principal's
 // collector-bank account and presents it there in-process, so the
-// collector's clearing hop (with whatever fault injector is installed)
-// runs under the caller's trace context.
-func (t *Topology) presentAtCollector(ctx context.Context, s *sim, check *accounting.Check) error {
+// collector's clearing hop (with its seeded fault injector) runs under
+// the caller's trace context.
+func (t *topology) presentAtCollector(ctx context.Context, s *sim, check *accounting.Check) error {
 	endorsed, err := check.Endorse(s.ident, t.bank.ID, t.bank.ID, t.bank.Global(s.acct), true, nil)
 	if err != nil {
 		return err
@@ -166,14 +157,10 @@ func (t *Topology) presentAtCollector(ctx context.Context, s *sim, check *accoun
 // verifies the authorization cascade tracks the change: after joining,
 // a fresh group proxy → authz proxy → end-server request for /churn/doc
 // must succeed; after leaving, the group grant must be refused.
-// Requires Options.ChurnGroups > 0.
-func (t *Topology) ChurnToggle(p int) error {
+func (t *topology) ChurnToggle(p int) error {
 	p = p % len(t.sims)
 	s := t.sims[p]
-	if t.opts.ChurnGroups == 0 {
-		return fmt.Errorf("loadgen: topology has no churn groups")
-	}
-	g := churnGroupName(p % t.opts.ChurnGroups)
+	g := churnGroupName(p % t.churn)
 	t.churnMu[p].Lock()
 	defer t.churnMu[p].Unlock()
 

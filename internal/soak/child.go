@@ -10,9 +10,9 @@ package soak
 // ErrDuplicateCheck — then restart the child and demand the same
 // refusal over RPC.
 //
-// The child is this same binary re-exec'd: MaybeRunChild intercepts
-// processes launched with SOAK_CHILD_DIR set (wired into the soak
-// package's TestMain and proxyctl's main).
+// The child is this same test binary re-exec'd: maybeRunChild, called
+// from the package's TestMain, intercepts processes launched with
+// SOAK_CHILD_DIR set.
 
 import (
 	"bytes"
@@ -40,7 +40,7 @@ import (
 const (
 	childRealm = "SOAK-CHILD.ORG"
 	childMint  = 1_000_000_000_000
-	// childEnvDir and childEnvAddr gate MaybeRunChild.
+	// childEnvDir and childEnvAddr gate maybeRunChild.
 	childEnvDir  = "SOAK_CHILD_DIR"
 	childEnvAddr = "SOAK_CHILD_ADDR"
 )
@@ -135,14 +135,14 @@ func (w *childWorld) writeNumbered(num string, amount int64) (*accounting.Check,
 	return c.Endorse(w.bob, w.bank.ID, w.bank.ID, w.bank.Global("bob"), false, nil)
 }
 
-// MaybeRunChild turns this process into the soak child bank when
-// SOAK_CHILD_DIR is set, never returning. Call it first thing from
-// main() (proxyctl) or TestMain (test binaries) so a re-exec'd child
-// skips the parent's work entirely. Returns false in the parent.
-func MaybeRunChild() bool {
+// maybeRunChild turns this process into the soak child bank when
+// SOAK_CHILD_DIR is set, never returning. TestMain calls it first thing
+// so a re-exec'd child skips the test suite entirely; in the parent it
+// returns at once.
+func maybeRunChild() {
 	dir := os.Getenv(childEnvDir)
 	if dir == "" {
-		return false
+		return
 	}
 	if err := runChild(dir, os.Getenv(childEnvAddr)); err != nil {
 		fmt.Fprintln(os.Stderr, "soak child:", err)
@@ -165,9 +165,8 @@ func runChild(dir, addr string) error {
 		return err
 	}
 	mux := svc.NewAcctService(w.bank, w.dir.Resolver(), nil).Mux()
-	// The child always ships its WAL (asynchronously): the failover
-	// scenario attaches a parent-side standby to these repl.* methods
-	// and promotes it after each SIGKILL.
+	// The child ships its WAL (asynchronously) to the parent-side
+	// standby, which is promoted after each SIGKILL.
 	node, err := repl.NewNode(repl.Config{SM: w.bank, Dir: filepath.Join(dir, "ledger")})
 	if err != nil {
 		return err
@@ -194,10 +193,9 @@ type childCtl struct {
 	standby *standbyCtl
 }
 
-// standbyCtl is the in-process hot standby of the child bank used by
-// the failover scenario: a full replica (own ledger, own repl node)
-// tailing the child's WAL over TCP, promoted after each SIGKILL and
-// discarded once audited.
+// standbyCtl is the in-process hot standby of the child bank: a full
+// replica (own ledger, own repl node) tailing the child's WAL over TCP,
+// promoted after each SIGKILL and discarded once audited.
 type standbyCtl struct {
 	dir   string
 	world *childWorld
@@ -232,11 +230,9 @@ func startChild(h *harness) (*childCtl, error) {
 		return nil, err
 	}
 	c.bankC = svc.NewAcctClient(conn, world.bob, nil)
-	if h.cfg.Failover {
-		if err := c.attachStandby(); err != nil {
-			c.stop()
-			return nil, err
-		}
+	if err := c.attachStandby(); err != nil {
+		c.stop()
+		return nil, err
 	}
 	return c, nil
 }
@@ -367,7 +363,7 @@ func (c *childCtl) failoverAudit(cycle int, refuseNum string) error {
 func (c *childCtl) readyPath() string { return filepath.Join(c.dir, "ready") }
 
 func (c *childCtl) spawn() error {
-	proc, err := chaos.StartProc(os.Args[0], c.h.cfg.ChildArgs, []string{
+	proc, err := chaos.StartProc(os.Args[0], nil, []string{
 		childEnvDir + "=" + c.dir,
 		childEnvAddr + "=" + c.addr,
 	})
@@ -410,15 +406,12 @@ func (c *childCtl) deposit(amount int64) error {
 // crashOnce is one full SIGKILL/audit/recover cycle. Any assertion
 // failure is an invariant violation and ends the run.
 func (c *childCtl) crashOnce() error {
-	// The failover scenario pins the accept-once target before the kill:
-	// the last check known paid is on the standby once catch-up returns,
-	// so the promoted replica must refuse it later.
-	var refuseNum string
-	if c.standby != nil {
-		refuseNum, _ = c.lastPaid.Load().(string)
-		if err := c.awaitStandbyCaughtUp(10 * time.Second); err != nil {
-			return fmt.Errorf("standby catch-up before failover: %w", err)
-		}
+	// Pin the accept-once target before the kill: the last check known
+	// paid is on the standby once catch-up returns, so the promoted
+	// replica must refuse it later.
+	refuseNum, _ := c.lastPaid.Load().(string)
+	if err := c.awaitStandbyCaughtUp(10 * time.Second); err != nil {
+		return fmt.Errorf("standby catch-up before failover: %w", err)
 	}
 	if err := c.proc.Kill(); err != nil {
 		return err
@@ -429,17 +422,15 @@ func (c *childCtl) crashOnce() error {
 	c.h.mu.Unlock()
 	c.h.logf("soak: crash cycle %d: child bank SIGKILLed", crash)
 
-	if c.standby != nil {
-		if err := c.failoverAudit(crash, refuseNum); err != nil {
-			c.detachStandby()
-			return fmt.Errorf("failover audit (cycle %d): %w", crash, err)
-		}
+	if err := c.failoverAudit(crash, refuseNum); err != nil {
 		c.detachStandby()
-		c.h.mu.Lock()
-		c.h.failovers++
-		c.h.mu.Unlock()
-		c.h.logf("soak: crash cycle %d: standby promoted, audited, and retired", crash)
+		return fmt.Errorf("failover audit (cycle %d): %w", crash, err)
 	}
+	c.detachStandby()
+	c.h.mu.Lock()
+	c.h.failovers++
+	c.h.mu.Unlock()
+	c.h.logf("soak: crash cycle %d: standby promoted, audited, and retired", crash)
 
 	if err := c.auditOffline(); err != nil {
 		return fmt.Errorf("post-crash audit (cycle %d): %w", crash, err)
@@ -475,10 +466,8 @@ func (c *childCtl) crashOnce() error {
 			return fmt.Errorf("re-presenting %q to recovered child bank: %w", num, last)
 		}
 	}
-	if c.h.cfg.Failover {
-		if err := c.attachStandby(); err != nil {
-			return fmt.Errorf("re-attach standby (cycle %d): %w", crash, err)
-		}
+	if err := c.attachStandby(); err != nil {
+		return fmt.Errorf("re-attach standby (cycle %d): %w", crash, err)
 	}
 	c.h.mu.Lock()
 	c.h.recoveries++

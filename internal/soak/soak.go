@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"proxykit/internal/loadgen"
 	"proxykit/internal/obs"
 )
 
@@ -46,25 +45,14 @@ type Config struct {
 	// VerifyInterval is how often the continuous verifier runs between
 	// its mandatory final pass (default 2s).
 	VerifyInterval time.Duration
-	// CrashInterval is how often the child bank is SIGKILLed and
-	// recovered; default Duration/4 clamped to [2s, 15s]. Ignored with
-	// NoChild.
-	CrashInterval time.Duration
-	// FaultDrop and FaultDup are the per-message drop/duplicate
-	// probabilities injected on the inter-bank clearing hop (defaults
-	// 0.25 and 0.10).
-	FaultDrop, FaultDup float64
-	// NoChild disables the child-process bank and its crash/recovery
-	// cycles — used by deterministic-schedule tests.
+	// NoChild disables the child-process bank, its hot standby, and
+	// their crash/failover cycles — used by deterministic-schedule
+	// tests. With the child, every Duration/4 (clamped to [2s, 15s]) the
+	// child is SIGKILLed and its standby promoted under load: the
+	// promoted replica must have held its read-only gate, advanced the
+	// fencing term, conserved money, refused the last acknowledged
+	// check, and cleared fresh writes before the child is restarted.
 	NoChild bool
-	// Failover runs a hot standby replicating the child bank's WAL and,
-	// on every crash cycle, promotes it under load before the child is
-	// restarted: the promoted replica must have held its read-only gate,
-	// advanced the fencing term, conserved money, refused the last
-	// acknowledged check, and cleared fresh writes. Ignored with NoChild.
-	Failover bool
-	// ChildArgs are extra argv entries for the re-exec'd child process.
-	ChildArgs []string
 	// InjectDoubleCredit mints unaccounted money into a customer
 	// account mid-run through a test-only hook; a correct verifier must
 	// flag the conservation break on its next pass.
@@ -88,8 +76,8 @@ type Report struct {
 	// Crashes and Recoveries count child-bank SIGKILL cycles; they are
 	// equal unless the run ended mid-cycle.
 	Crashes, Recoveries int
-	// Failovers counts standby promotions that passed the failover audit
-	// (Failover mode only).
+	// Failovers counts standby promotions that passed the failover
+	// audit, one per crash cycle.
 	Failovers int
 	// DowntimeErrors counts child-bank ops that failed while the child
 	// was dead or restarting — expected, not violations.
@@ -105,12 +93,16 @@ type job struct {
 type soakOp struct {
 	name   string
 	weight int
-	do     func(p int, amt int64) error
+	// faulted marks ops that cross the fault-injected clearing hop: an
+	// error there is expected noise and only tallied. Any other op's
+	// error is a violation.
+	faulted bool
+	do      func(p int, amt int64) error
 }
 
 type harness struct {
 	cfg  Config
-	topo *loadgen.Topology
+	topo *topology
 
 	// gate quiesces money movement: every money-moving op holds the
 	// read side for its whole call (clearing retries included), and the
@@ -129,8 +121,7 @@ type harness struct {
 	failovers    int
 	downtimeErrs int
 
-	child          *childCtl
-	journalCleanup func()
+	child *childCtl
 
 	cancel    context.CancelFunc
 	failOnce  sync.Once
@@ -144,13 +135,24 @@ func (h *harness) logf(format string, args ...any) {
 }
 
 // fail records the first invariant violation with its reproduction
-// command and stops the run.
+// recipe and stops the run.
 func (h *harness) fail(err error) {
 	h.failOnce.Do(func() {
-		h.violation = fmt.Errorf("soak: %w\nreproduce: make soak SOAK_SEED=%d SOAK_TIME=%s",
-			err, h.cfg.Seed, h.cfg.Duration)
+		h.violation = fmt.Errorf("soak: %w\nreproduce: %s", err, h.reproduce())
 		h.cancel()
 	})
+}
+
+// reproduce names what re-runs this storm's schedule. `make soak` can
+// only set the seed and duration of a run with the child bank; any
+// other run is reproduced by its Config.
+func (h *harness) reproduce() string {
+	c := h.cfg
+	if c.MaxOps <= 0 && !c.NoChild {
+		return fmt.Sprintf("make soak SOAK_SEED=%d SOAK_TIME=%s", c.Seed, c.Duration)
+	}
+	return fmt.Sprintf("soak.Run(soak.Config{Seed: %d, Duration: %s, MaxOps: %d, Principals: %d, NoChild: %t})",
+		c.Seed, c.Duration, c.MaxOps, c.Principals, c.NoChild)
 }
 
 // Run executes the storm and returns its report. A non-nil error means
@@ -171,15 +173,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if cfg.VerifyInterval <= 0 {
 		cfg.VerifyInterval = 2 * time.Second
-	}
-	if cfg.CrashInterval <= 0 {
-		cfg.CrashInterval = clampDuration(cfg.Duration/4, 2*time.Second, 15*time.Second)
-	}
-	if cfg.FaultDrop == 0 {
-		cfg.FaultDrop = 0.25
-	}
-	if cfg.FaultDup == 0 {
-		cfg.FaultDup = 0.10
 	}
 
 	h := &harness{
@@ -206,6 +199,9 @@ func Run(cfg Config) (*Report, error) {
 			defer workers.Done()
 			for jb := range jobs {
 				err := jb.op.do(jb.p, jb.amt)
+				if err != nil && !jb.op.faulted {
+					h.fail(fmt.Errorf("%s as p%d failed: %w", jb.op.name, jb.p, err))
+				}
 				h.mu.Lock()
 				if err != nil {
 					h.errs[jb.op.name]++
@@ -245,7 +241,7 @@ func Run(cfg Config) (*Report, error) {
 		crasher.Add(1)
 		go func() {
 			defer crasher.Done()
-			t := time.NewTicker(cfg.CrashInterval)
+			t := time.NewTicker(clampDuration(cfg.Duration/4, 2*time.Second, 15*time.Second))
 			defer t.Stop()
 			for {
 				select {
@@ -278,7 +274,7 @@ func Run(cfg Config) (*Report, error) {
 				h.mu.Unlock()
 				if n >= target {
 					h.gate.RLock()
-					err := h.topo.Bank().Mint(h.topo.SimAccount(0), "dollars", 7)
+					err := h.topo.bank.Mint(h.topo.sims[0].acct, "dollars", 7)
 					h.gate.RUnlock()
 					h.logf("soak: injected unaccounted 7-dollar credit (err=%v)", err)
 					return
@@ -359,20 +355,17 @@ func Run(cfg Config) (*Report, error) {
 	return rep, h.violation
 }
 
-// setup builds the topology, arms the fault injector, and starts the
-// child bank.
+// setup builds the topology and starts the child bank.
 func (h *harness) setup() error {
-	topo, journalCleanup, err := newStormTopology(h.cfg)
+	topo, err := newTopology(h.cfg.Principals, h.cfg.Seed)
 	if err != nil {
 		return err
 	}
 	h.topo = topo
-	h.journalCleanup = journalCleanup
 	if !h.cfg.NoChild {
 		child, err := startChild(h)
 		if err != nil {
 			topo.Close()
-			journalCleanup()
 			return err
 		}
 		h.child = child
@@ -387,9 +380,6 @@ func (h *harness) teardown() {
 	if h.topo != nil {
 		h.topo.Close()
 	}
-	if h.journalCleanup != nil {
-		h.journalCleanup()
-	}
 }
 
 // opTable returns the weighted op mix. Order is fixed: the schedule
@@ -399,8 +389,8 @@ func (h *harness) opTable() []soakOp {
 		{name: "authorize", weight: 3, do: func(p int, _ int64) error { return h.topo.Authorize(p) }},
 		{name: "transfer", weight: 3, do: h.gatedTransfer},
 		{name: "deposit", weight: 2, do: h.gatedDeposit},
-		{name: "clearing", weight: 2, do: h.opClearing},
-		{name: "certified", weight: 1, do: h.opCertified},
+		{name: "clearing", weight: 2, faulted: true, do: h.opClearing},
+		{name: "certified", weight: 1, faulted: true, do: h.opCertified},
 		{name: "gateway", weight: 1, do: func(p int, _ int64) error { return h.topo.Gateway(p) }},
 		{name: "login", weight: 1, do: func(p int, _ int64) error { return h.topo.Login(p) }},
 		{name: "churn", weight: 1, do: func(p int, _ int64) error { return h.topo.ChurnToggle(p) }},

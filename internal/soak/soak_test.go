@@ -16,7 +16,7 @@ var (
 // TestMain lets a re-exec'd copy of this binary become the soak child
 // bank instead of running the test suite.
 func TestMain(m *testing.M) {
-	MaybeRunChild()
+	maybeRunChild()
 	os.Exit(m.Run())
 }
 
@@ -31,7 +31,6 @@ func TestSoakStorm(t *testing.T) {
 	rep, err := Run(Config{
 		Seed:     *soakSeed,
 		Duration: *soakTime,
-		Failover: true,
 		Logf:     t.Logf,
 	})
 	if err != nil {
@@ -84,8 +83,13 @@ func TestSoakCatchesDoubleCredit(t *testing.T) {
 	if !strings.Contains(err.Error(), "conservation") {
 		t.Fatalf("violation is not a conservation break: %v", err)
 	}
-	if !strings.Contains(err.Error(), "reproduce:") {
-		t.Errorf("violation lacks a reproduction command: %v", err)
+	// An op-bounded, child-less run is not what `make soak` runs, so
+	// the reproduction names its Config instead.
+	if !strings.Contains(err.Error(), "reproduce:") || !strings.Contains(err.Error(), "MaxOps: 260") {
+		t.Errorf("violation lacks a reproduction naming MaxOps: 260: %v", err)
+	}
+	if strings.Contains(err.Error(), "SOAK_TIME=0s") {
+		t.Errorf("violation reproduces with a zero-duration make soak: %v", err)
 	}
 }
 

@@ -1,9 +1,4 @@
-// Package loadgen is the in-process deployment fixture the soak storm
-// (internal/soak) drives: a Topology of real daemons over TCP with
-// simulated principals pre-provisioned against it, and the scenario
-// actors (actors.go) that each perform one operation as a principal.
-// It is not a benchmark; perfbench/ measures the path acctd runs.
-package loadgen
+package soak
 
 import (
 	"crypto/sha256"
@@ -22,6 +17,7 @@ import (
 	"proxykit/internal/audit"
 	"proxykit/internal/authz"
 	"proxykit/internal/endserver"
+	"proxykit/internal/faultpoint"
 	"proxykit/internal/gateway"
 	"proxykit/internal/group"
 	"proxykit/internal/kerberos"
@@ -33,64 +29,48 @@ import (
 	"proxykit/internal/transport"
 )
 
-// Realm is the topology's Kerberos-style realm name.
-const Realm = "LOAD.EXAMPLE.ORG"
+const (
+	// realm is the main deployment's Kerberos-style realm name.
+	realm = "LOAD.EXAMPLE.ORG"
+	// secondRealm is the drawee bank's realm.
+	secondRealm = "LOAD2.EXAMPLE.ORG"
+
+	// mintPerPrincipal is the dollars minted into each principal's
+	// account at each bank.
+	mintPerPrincipal = 1_000_000_000
+
+	// hopDrop and hopDup are the per-message drop/duplicate
+	// probabilities injected on the inter-bank clearing hop.
+	hopDrop, hopDup = 0.25, 0.10
+)
 
 // sim is one simulated principal with everything pre-provisioned at
 // setup time so the measured operations are steady-state: an identity,
-// a funded account, a cascaded authorization proxy for the end-server
-// object, sealed-envelope service clients, and a gateway bearer token.
+// a funded account at each bank, a KDC password, a cascaded
+// authorization proxy for the end-server object, sealed-envelope
+// service clients, and a gateway bearer token.
 type sim struct {
 	ident    *pubkey.Identity
 	acct     string
-	acct2    string // payor account at the second bank, "" without one
-	password string // KDC password, "" without a KDC
+	acct2    string // payor account at the second bank
+	password string // KDC password
 	authz    *proxy.Proxy
 	end      *svc.EndClient
 	bank     *svc.AcctClient
 	token    string
 }
 
-// mintPerPrincipal is the dollars minted into each principal's account
-// (and, with Options.SecondBank, into each payor account there).
-const mintPerPrincipal = 1_000_000_000
+// topology is the multi-realm world the storm runs over: group, authz,
+// end-server, and accounting daemons over real TCP plus the HTTP
+// gateway and a KDC, a second bank in its own realm peered with the
+// first for Fig. 5 cross-bank clearing, churn groups for the group/ACL
+// churn actor, and hash-chained file journals on both banks so the
+// verifier can re-walk them live. The collector's clearing hop has a
+// seeded fault injector and a fast deterministic retry policy.
+type topology struct {
+	stateDir   string
+	gatewayURL string
 
-// Options parameterizes NewTopologyWith.
-type Options struct {
-	// Principals is how many simulated principals to provision; <= 0
-	// means 1.
-	Principals int
-	// JournalDir, when non-empty, attaches hash-chained file journals
-	// to the banks (bank1.jsonl, bank2.jsonl) so an external verifier
-	// can re-walk them while the workload runs.
-	JournalDir string
-	// SecondBank adds a drawee bank in a second realm with one funded
-	// payor account per principal ("c<i>"), peered with the main bank
-	// both ways — the Fig. 5 cross-bank clearing topology.
-	SecondBank bool
-	// ChurnGroups provisions this many churn groups ("churn-<w>"), an
-	// authz rule per group for /churn/doc, and the matching end-server
-	// ACL, enabling the group/ACL churn actor.
-	ChurnGroups int
-	// KDC stands up a key distribution center over TCP with every
-	// principal password-registered, enabling the login actor.
-	KDC bool
-}
-
-// SecondRealm is the drawee bank's realm when Options.SecondBank is set.
-const SecondRealm = "LOAD2.EXAMPLE.ORG"
-
-// Topology is a full in-process deployment — group, authz, end-server,
-// and accounting daemons over real TCP plus the HTTP gateway — with N
-// simulated principals provisioned against it. The soak world drives
-// it through the actors; the seeded-determinism test checks that equal
-// op schedules leave equal state.
-type Topology struct {
-	StateDir string
-
-	GatewayURL string
-
-	opts     Options
 	bank     *accounting.Server
 	bank2    *accounting.Server
 	groupSrv *group.Server
@@ -101,58 +81,60 @@ type Topology struct {
 	authzC   *transport.TCPClient
 	fileID   principal.ID
 	sims     []*sim
+	churn    int // number of churn groups
 	churnMu  []sync.Mutex
+	// minted is the total money provisioned, per currency, across both
+	// banks. Nothing else creates money, so at quiesce the per-currency
+	// sums over both banks' customer accounts must equal it exactly.
 	minted   map[string]int64
-	journals map[string]*audit.Journal
+	journals map[string]string // "bank1"/"bank2" -> journal file path
 	httpc    *http.Client
 	closers  []func()
 }
 
 // Close tears down servers, clients, and the state directory.
-func (t *Topology) Close() {
+func (t *topology) Close() {
 	for i := len(t.closers) - 1; i >= 0; i-- {
 		t.closers[i]()
 	}
 }
 
-// NewTopologyWith stands up the deployment per opts and provisions its
-// principals: every principal is in the "staff" group, staff may read
-// /shared/doc on the end-server, each principal owns a funded account,
-// and each holds a delegate authorization proxy acquired through the
-// real group-server → authz-server cascade.
-func NewTopologyWith(opts Options) (*Topology, error) {
-	if opts.Principals <= 0 {
-		opts.Principals = 1
-	}
-	state, err := os.MkdirTemp("", "loadgen-state-")
+// newTopology stands up the world and provisions its principals: every
+// principal is in the "staff" group, staff may read /shared/doc on the
+// end-server, each principal owns a funded account at both banks and a
+// KDC password, and each holds a delegate authorization proxy acquired
+// through the real group-server → authz-server cascade. seed drives the
+// clearing hop's fault injector and retry jitter.
+func newTopology(principals int, seed int64) (*topology, error) {
+	state, err := os.MkdirTemp("", "soak-state-")
 	if err != nil {
 		return nil, err
 	}
-	t := &Topology{
-		StateDir: state,
-		opts:     opts,
+	t := &topology{
+		stateDir: state,
+		churn:    max(principals/4, 2),
 		minted:   map[string]int64{},
-		journals: map[string]*audit.Journal{},
+		journals: map[string]string{},
 	}
 	t.closers = append(t.closers, func() { _ = os.RemoveAll(state) })
-	if err := t.build(opts.Principals); err != nil {
+	if err := t.build(principals, seed); err != nil {
 		t.Close()
 		return nil, err
 	}
 	return t, nil
 }
 
-func (t *Topology) build(n int) error {
+func (t *topology) build(n int, seed int64) error {
 	ids := map[string]*pubkey.Identity{}
 	for _, name := range []string{"groups", "authz", "file/srv1", "bank"} {
-		ident, err := statefile.CreateIdentity(t.StateDir, principal.New(name, Realm))
+		ident, err := statefile.CreateIdentity(t.stateDir, principal.New(name, realm))
 		if err != nil {
 			return err
 		}
 		ids[name] = ident
 	}
 	t.fileID = ids["file/srv1"].ID
-	resolve := statefile.DynamicResolver(t.StateDir)
+	resolve := statefile.DynamicResolver(t.stateDir)
 
 	addrs := map[string]string{}
 	serve := func(name string, mux *transport.Mux) error {
@@ -188,54 +170,57 @@ func (t *Topology) build(n int) error {
 	if err := t.attachJournal(t.bank, "bank1"); err != nil {
 		return err
 	}
+	t.bank.SetHopInjector(faultpoint.New(seed, faultpoint.Rule{
+		Method: accounting.HopMethod,
+		Drop:   hopDrop,
+		Dup:    hopDup,
+	}))
+	t.bank.SetHopRetry(transport.RetryPolicy{
+		MaxAttempts: 6,
+		Seed:        seed,
+		Sleep:       func(time.Duration) {}, // injected faults, not real latency
+	})
 
 	// The churn world: groups whose membership the churn actor toggles,
 	// each entitling its members to read /churn/doc through the same
 	// group -> authz -> end-server cascade the staff group uses.
-	if t.opts.ChurnGroups > 0 {
-		for w := 0; w < t.opts.ChurnGroups; w++ {
-			g := churnGroupName(w)
-			t.groupSrv.AddGroup(g)
-			t.authzSrv.AddRule(authz.Rule{
-				EndServer: t.fileID,
-				Object:    "/churn/doc",
-				Subject:   acl.Subject{Groups: []principal.Global{t.groupSrv.Global(g)}},
-				Ops:       []string{"read"},
-			})
-		}
-		fileSrv.SetACL("/churn/doc", acl.New(acl.PrincipalEntry(ids["authz"].ID, "read")))
+	for w := 0; w < t.churn; w++ {
+		g := churnGroupName(w)
+		t.groupSrv.AddGroup(g)
+		t.authzSrv.AddRule(authz.Rule{
+			EndServer: t.fileID,
+			Object:    "/churn/doc",
+			Subject:   acl.Subject{Groups: []principal.Global{t.groupSrv.Global(g)}},
+			Ops:       []string{"read"},
+		})
 	}
+	fileSrv.SetACL("/churn/doc", acl.New(acl.PrincipalEntry(ids["authz"].ID, "read")))
 
 	// The second realm's drawee bank, peered both ways for clearing.
-	if t.opts.SecondBank {
-		ident2, err := statefile.CreateIdentity(t.StateDir, principal.New("bank2", SecondRealm))
-		if err != nil {
-			return err
-		}
-		t.bank2 = accounting.NewServer(ident2, resolve, nil)
-		t.bank.AddPeer(t.bank2)
-		t.bank2.AddPeer(t.bank)
-		if err := t.attachJournal(t.bank2, "bank2"); err != nil {
-			return err
-		}
+	ident2, err := statefile.CreateIdentity(t.stateDir, principal.New("bank2", secondRealm))
+	if err != nil {
+		return err
+	}
+	t.bank2 = accounting.NewServer(ident2, resolve, nil)
+	t.bank.AddPeer(t.bank2)
+	t.bank2.AddPeer(t.bank)
+	if err := t.attachJournal(t.bank2, "bank2"); err != nil {
+		return err
 	}
 
-	if t.opts.KDC {
-		kdc, err := kerberos.NewKDC(Realm, nil)
-		if err != nil {
-			return err
-		}
-		t.kdc = kdc
-		if _, err := kdc.RegisterWithPassword(t.fileID, "srv1-service-key"); err != nil {
-			return err
-		}
+	t.kdc, err = kerberos.NewKDC(realm, nil)
+	if err != nil {
+		return err
+	}
+	if _, err := t.kdc.RegisterWithPassword(t.fileID, "srv1-service-key"); err != nil {
+		return err
 	}
 
 	// Provision principals before the servers take traffic.
 	mapping := &gateway.MappingConfig{}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("p%d", i)
-		ident, err := statefile.CreateIdentity(t.StateDir, principal.New(name, Realm))
+		ident, err := statefile.CreateIdentity(t.stateDir, principal.New(name, realm))
 		if err != nil {
 			return err
 		}
@@ -247,28 +232,22 @@ func (t *Topology) build(n int) error {
 			return err
 		}
 		t.minted["dollars"] += mintPerPrincipal
-		s := &sim{ident: ident, acct: name}
-		if t.bank2 != nil {
-			s.acct2 = fmt.Sprintf("c%d", i)
-			if err := t.bank2.CreateAccount(s.acct2, ident.ID); err != nil {
-				return err
-			}
-			if err := t.bank2.Mint(s.acct2, "dollars", mintPerPrincipal); err != nil {
-				return err
-			}
-			t.minted["dollars"] += mintPerPrincipal
+		s := &sim{ident: ident, acct: name, acct2: fmt.Sprintf("c%d", i), password: "pw-" + name}
+		if err := t.bank2.CreateAccount(s.acct2, ident.ID); err != nil {
+			return err
 		}
-		if t.kdc != nil {
-			s.password = "pw-" + name
-			if _, err := t.kdc.RegisterWithPassword(ident.ID, s.password); err != nil {
-				return err
-			}
+		if err := t.bank2.Mint(s.acct2, "dollars", mintPerPrincipal); err != nil {
+			return err
+		}
+		t.minted["dollars"] += mintPerPrincipal
+		if _, err := t.kdc.RegisterWithPassword(ident.ID, s.password); err != nil {
+			return err
 		}
 		s.token = fmt.Sprintf("tok-%s-%s", name, ident.Public().KeyID())
 		mapping.Tokens = append(mapping.Tokens, gateway.TokenEntry{
 			Token:     s.token,
 			Subject:   name,
-			Principal: name + "@" + Realm,
+			Principal: name + "@" + realm,
 			Groups:    []string{"staff"},
 		})
 		t.sims = append(t.sims, s)
@@ -287,10 +266,8 @@ func (t *Topology) build(n int) error {
 	if err := serve("bank", svc.NewAcctService(t.bank, resolve, nil).Mux()); err != nil {
 		return err
 	}
-	if t.kdc != nil {
-		if err := serve("kdc", svc.NewKDCService(t.kdc).Mux()); err != nil {
-			return err
-		}
+	if err := serve("kdc", svc.NewKDCService(t.kdc).Mux()); err != nil {
+		return err
 	}
 
 	groupC, err := dial("groups")
@@ -310,13 +287,11 @@ func (t *Topology) build(n int) error {
 		return err
 	}
 	t.groupC, t.authzC = groupC, authzC
-	if t.kdc != nil {
-		kdcC, err := dial("kdc")
-		if err != nil {
-			return err
-		}
-		t.kdcC = svc.NewKDCClient(kdcC)
+	kdcC, err := dial("kdc")
+	if err != nil {
+		return err
 	}
+	t.kdcC = svc.NewKDCClient(kdcC)
 
 	// Each principal walks the real cascade once at setup: group proxy
 	// from the group server, then a delegate authorization proxy from
@@ -344,8 +319,8 @@ func (t *Topology) build(n int) error {
 
 	// The HTTP edge: a real gatewayd core on a real listener.
 	gw, err := gateway.New(gateway.Options{
-		StateDir:    t.StateDir,
-		ID:          principal.New("gateway", Realm),
+		StateDir:    t.stateDir,
+		ID:          principal.New("gateway", realm),
 		Mapping:     mapping,
 		AuthzClient: authzC,
 		GroupClient: groupC,
@@ -365,68 +340,33 @@ func (t *Topology) build(n int) error {
 	web := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	go func() { _ = web.Serve(l) }()
 	t.closers = append(t.closers, func() { _ = web.Close() })
-	t.GatewayURL = "http://" + l.Addr().String()
+	t.gatewayURL = "http://" + l.Addr().String()
 	t.httpc = &http.Client{Timeout: 30 * time.Second}
 	return nil
 }
 
-// attachJournal wires a hash-chained file journal under a bank when
-// Options.JournalDir is set.
-func (t *Topology) attachJournal(bank *accounting.Server, name string) error {
-	if t.opts.JournalDir == "" {
-		return nil
-	}
-	j, err := audit.New(audit.Options{Path: t.JournalPath(name), Tail: 16})
+// attachJournal wires a hash-chained file journal, <name>.jsonl in the
+// state directory, under a bank.
+func (t *topology) attachJournal(bank *accounting.Server, name string) error {
+	path := filepath.Join(t.stateDir, name+".jsonl")
+	j, err := audit.New(audit.Options{Path: path, Tail: 16})
 	if err != nil {
 		return err
 	}
 	t.closers = append(t.closers, func() { _ = j.Close() })
-	t.journals[name] = j
+	t.journals[name] = path
 	bank.SetJournal(j)
 	return nil
 }
 
 func churnGroupName(w int) string { return fmt.Sprintf("churn-%d", w) }
 
-// ---- accessors for the soak world and external verifiers ----
-
-// Bank returns the main accounting server (the collector in Fig. 5).
-func (t *Topology) Bank() *accounting.Server { return t.bank }
-
-// SecondBank returns the drawee bank, nil unless Options.SecondBank.
-func (t *Topology) SecondBank() *accounting.Server { return t.bank2 }
-
-// SimAccount returns principal i's account name at the main bank.
-func (t *Topology) SimAccount(i int) string { return t.sims[i%len(t.sims)].acct }
-
-// JournalPath returns the file path of a bank's journal ("bank1" or
-// "bank2"); meaningful only with Options.JournalDir set.
-func (t *Topology) JournalPath(name string) string {
-	return filepath.Join(t.opts.JournalDir, name+".jsonl")
-}
-
-// MintedSupply returns the total money provisioned into the topology,
-// per currency, across all banks. Nothing else creates money, so at
-// quiesce the per-currency sums over both banks' customer accounts must
-// equal it exactly.
-func (t *Topology) MintedSupply() map[string]int64 {
-	out := make(map[string]int64, len(t.minted))
-	for cur, v := range t.minted {
-		out[cur] = v
-	}
-	return out
-}
-
 // StateDigest hashes every account balance on every bank, in sorted
 // order: two topologies that executed the same op schedule digest
 // identically, regardless of interleaving.
-func (t *Topology) StateDigest() string {
+func (t *topology) StateDigest() string {
 	h := sha256.New()
-	banks := []*accounting.Server{t.bank}
-	if t.bank2 != nil {
-		banks = append(banks, t.bank2)
-	}
-	for bi, b := range banks {
+	for bi, b := range []*accounting.Server{t.bank, t.bank2} {
 		balances := b.AccountBalances()
 		names := make([]string, 0, len(balances))
 		for name := range balances {

@@ -1,4 +1,4 @@
-package loadgen
+package soak
 
 import (
 	"math/rand"
@@ -18,7 +18,7 @@ func TestRunSeededDeterminism(t *testing.T) {
 	const principals, ops, workers = 4, 300, 8
 	run := func() string {
 		t.Helper()
-		topo, err := NewTopologyWith(Options{Principals: principals})
+		topo, err := newTopology(principals, 11)
 		if err != nil {
 			t.Fatal(err)
 		}

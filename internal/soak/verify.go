@@ -95,11 +95,11 @@ func (h *harness) verifyPass() error {
 	h.gate.Lock()
 	defer h.gate.Unlock()
 
-	b1, err := walkJournal(h.topo.JournalPath("bank1"))
+	b1, err := walkJournal(h.topo.journals["bank1"])
 	if err != nil {
 		return err
 	}
-	b2, err := walkJournal(h.topo.JournalPath("bank2"))
+	b2, err := walkJournal(h.topo.journals["bank2"])
 	if err != nil {
 		return err
 	}
@@ -127,9 +127,9 @@ func (h *harness) verifyPass() error {
 	for cur, amt := range orphanedMoney(b1, b2) {
 		orphans[cur] += amt
 	}
-	t1 := h.topo.Bank().Totals()
-	t2 := h.topo.SecondBank().Totals()
-	for cur, minted := range h.topo.MintedSupply() {
+	t1 := h.topo.bank.Totals()
+	t2 := h.topo.bank2.Totals()
+	for cur, minted := range h.topo.minted {
 		customer := t1.Balances[cur] + t1.Uncollected[cur] + t1.Held[cur] +
 			t2.Balances[cur] + t2.Uncollected[cur] + t2.Held[cur]
 		if customer+orphans[cur] != minted {
