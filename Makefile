@@ -98,7 +98,7 @@ bench:
 # One iteration of every benchmark — a CI smoke test that the
 # benchmarks still compile and run, not a measurement.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/transport/ ./internal/accounting/
+	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/transport/ ./internal/accounting/ ./internal/ledger/
 
 # The paper-figure experiments E1–E11 as shaped result tables (message
 # counts, modeled latencies, baseline comparisons). Not a performance
@@ -124,6 +124,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) ./internal/restrict/
 	$(GO) test -fuzz=FuzzUnmarshalCertificate -fuzztime=$(FUZZTIME) ./internal/proxy/
+	$(GO) test -fuzz=FuzzUnmarshalPresentation -fuzztime=$(FUZZTIME) ./internal/proxy/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzVerifyFile -fuzztime=$(FUZZTIME) ./internal/audit/

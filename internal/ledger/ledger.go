@@ -181,8 +181,10 @@ type Ledger struct {
 
 	// truncMu excludes WAL truncation (snapshot commit, Reset) from
 	// in-process readers: ReadEntries holds it shared while reading the
-	// file outside l.mu, so a shipper never observes the file shrinking
-	// mid-scan. Lock order: syncMu before truncMu before mu.
+	// file outside l.mu and while moving its resume point, so a shipper
+	// never observes the file shrinking mid-scan and the point never
+	// names an offset in an earlier version of the file. Lock order:
+	// syncMu before truncMu before mu.
 	truncMu sync.RWMutex
 
 	mu        sync.Mutex
@@ -194,6 +196,8 @@ type Ledger struct {
 	seq       uint64 // last assigned sequence number
 	snapSeq   uint64 // sequence number covered by the snapshot file
 	size      int64  // bytes of complete frames in the WAL file
+	cursSeq   uint64 // ReadEntries resume point: the frame holding cursSeq
+	cursOff   int64  // starts at byte cursOff of the current WAL; 0/0 unknown
 	dirty     bool   // unsynced writes (FsyncInterval)
 	failed    bool   // a write failed; the tail may be torn, refuse appends
 	failedErr error  // the error that failed the ledger closed
@@ -806,10 +810,12 @@ func (l *Ledger) commitSnapshotLocked(raw []byte) error {
 	return nil
 }
 
-// truncateWALLocked discards the WAL file and any buffered frames.
-// Callers hold truncMu exclusively (no reader is mid-scan) and l.mu.
+// truncateWALLocked discards the WAL file, any buffered frames, and the
+// cursor's resume point. Callers hold truncMu exclusively (no reader is
+// mid-scan) and l.mu.
 func (l *Ledger) truncateWALLocked() error {
 	l.buf = l.buf[:0]
+	l.cursSeq, l.cursOff = 0, 0
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("ledger: truncate WAL: %w", err)
 	}
@@ -1089,7 +1095,8 @@ func ScanOffsets(path string) ([]RecordPos, error) {
 
 // CursorResult is one ReadEntries read: the records found plus the
 // sequence horizons that were current when the read began, so a
-// shipper can compute lag and detect truncation races exactly once.
+// shipper can compute lag and detect truncation races exactly once,
+// whether the read resumed mid-file or scanned the WAL from its start.
 type CursorResult struct {
 	// Entries are the records with sequence numbers in [from, from+max),
 	// in order; empty when the caller is at the tip.
@@ -1111,6 +1118,12 @@ type CursorResult struct {
 // from falls below the snapshot horizon and the records are gone,
 // ReadEntries returns ErrTruncated with the horizon in CursorResult —
 // the caller fetches a snapshot and resumes from SnapSeq+1.
+//
+// A read resumes at the frame after the previous read's last record
+// when from is at or past it, so a caught-up shipper's pull costs
+// O(new frames), not O(WAL bytes); any other from (a first pull, a
+// lagging or second standby) scans the file from its start. Scanned
+// frames are still fully checked; VerifyWAL re-checks the whole file.
 func (l *Ledger) ReadEntries(from uint64, max int) (CursorResult, error) {
 	if max <= 0 {
 		max = 1 << 10
@@ -1126,6 +1139,11 @@ func (l *Ledger) ReadEntries(from uint64, max int) (CursorResult, error) {
 	size := l.size
 	snapSeq := l.snapSeq
 	f := l.f
+	var resumeSeq uint64
+	var start int64
+	if l.cursSeq != 0 && from >= l.cursSeq && l.cursOff <= size {
+		resumeSeq, start = l.cursSeq, l.cursOff
+	}
 	var buffered []byte
 	if len(l.buf) > 0 {
 		buffered = append([]byte(nil), l.buf...)
@@ -1137,16 +1155,22 @@ func (l *Ledger) ReadEntries(from uint64, max int) (CursorResult, error) {
 	// waits on the guard. A group-commit leader may be writing past
 	// size right now — those frames belong to appends that have not
 	// returned yet and are deliberately not visible to this read.
-	data := make([]byte, size, size+int64(len(buffered)))
-	if size > 0 {
-		if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {
+	data := make([]byte, size-start, size-start+int64(len(buffered)))
+	if size > start {
+		if _, err := io.ReadFull(io.NewSectionReader(f, start, size-start), data); err != nil {
 			return CursorResult{}, fmt.Errorf("ledger: cursor read: %w", err)
 		}
 	}
 	data = append(data, buffered...)
 
+	// Frames before a resume point hold records through resumeSeq-1,
+	// so they still count toward LastSeq, and from is servable.
 	res := CursorResult{SnapSeq: snapSeq, LastSeq: snapSeq}
-	firstSeen := uint64(0)
+	if resumeSeq > snapSeq+1 {
+		res.LastSeq = resumeSeq - 1
+	}
+	firstSeen := resumeSeq
+	off, nextSeq, nextOff := start, uint64(0), int64(0)
 	_, err := scanFrames(data, func(seq uint64, payload []byte) {
 		if firstSeen == 0 {
 			firstSeen = seq
@@ -1154,12 +1178,24 @@ func (l *Ledger) ReadEntries(from uint64, max int) (CursorResult, error) {
 		if seq > res.LastSeq {
 			res.LastSeq = seq
 		}
-		if seq >= from && len(res.Entries) < max {
+		taken := seq >= from && len(res.Entries) < max
+		if taken {
 			res.Entries = append(res.Entries, Entry{Seq: seq, Data: payload})
+		}
+		// Move the point past every frame this read consumed, but never
+		// into FsyncOff's buffered frames, which are not in the file yet.
+		off += int64(frameHeaderLen + 8 + len(payload))
+		if (taken || seq < from) && off <= size {
+			nextSeq, nextOff = seq+1, off
 		}
 	})
 	if err != nil {
 		return CursorResult{}, err
+	}
+	if nextSeq != 0 {
+		l.mu.Lock()
+		l.cursSeq, l.cursOff = nextSeq, nextOff
+		l.mu.Unlock()
 	}
 	// Records below the requested point that are no longer on disk are
 	// unreachable by shipping; the caller must catch up via snapshot.

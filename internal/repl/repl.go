@@ -18,7 +18,9 @@
 // cursor (ledger.ReadEntries), holding the request open briefly when it
 // is already caught up. The ordered append hook wakes those held
 // requests the moment a group-commit cohort lands, so batches ride
-// cohorts without a separate streaming channel. The next pull from
+// cohorts without a separate streaming channel. A caught-up pull
+// resumes at the byte offset where the previous pull ended, so its cost
+// does not depend on WAL length. The next pull from
 // position N+1 acknowledges everything through N — the standby only
 // advances its position after the records are durable and applied
 // locally.
