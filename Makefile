@@ -73,11 +73,12 @@ crash:
 
 # Continuous mixed-scenario soak storm (internal/soak): every workload
 # concurrently against a fresh multi-realm topology, fault injection on
-# the clearing hop, SIGKILL crash/recovery of the child-process bank
-# with a hot standby promoted and audited under load on every crash
-# cycle, and an always-on verifier asserting conservation, exactly-once
-# clearing, audit-chain integrity, and trace completeness. On a
-# violation the run fails with the seed and a reproduction command.
+# the clearing hop, SIGKILL crash/recovery of the child bank — the real
+# cmd/acctd binary — with a second `acctd -standby` promoted over
+# repl.promote and audited under load on every crash cycle, and an
+# always-on verifier asserting conservation, exactly-once clearing,
+# audit-chain integrity, and trace completeness. On a violation the run
+# fails with the seed and a reproduction command.
 # Override: make soak SOAK_TIME=10m SOAK_SEED=42
 SOAK_TIME ?= 60s
 SOAK_SEED ?= 1
@@ -129,6 +130,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzVerifyFile -fuzztime=$(FUZZTIME) ./internal/audit/
 	$(GO) test -fuzz=FuzzReplayJournal -fuzztime=$(FUZZTIME) ./internal/ledger/
+	$(GO) test -fuzz=FuzzUnmarshalTicket -fuzztime=$(FUZZTIME) ./internal/kerberos/
+	$(GO) test -fuzz=FuzzUnmarshalAuthenticator -fuzztime=$(FUZZTIME) ./internal/kerberos/
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"time"
 
 	"proxykit/internal/accounting"
 	"proxykit/internal/daemon"
@@ -44,31 +43,23 @@ func newDaemon() *daemon.Daemon {
 		Durable: true,
 	})
 	accounts := d.Flags.String("accounts", "", "JSON accounts file")
-	holdSweep := d.Flags.Duration("hold-sweep-interval", time.Minute, "how often expired certified-check holds are swept back to their accounts; 0 disables the sweeper")
 	d.Build = func(env *daemon.Env) (*daemon.Service, error) {
 		srv := accounting.NewServer(env.Identity, env.Resolve, nil)
 		srv.SetJournal(env.Journal)
 		return &daemon.Service{
 			Mux:   svc.NewAcctService(srv, env.Resolve, nil).Mux(),
 			Store: &srv.Store,
-			// A standby's books come from the primary's WAL, and only
-			// the primary releases expired holds.
-			Start: func(standby bool) (func(), error) {
-				if standby {
-					return nil, nil
+			// A standby's books come from the primary's WAL.
+			Start: func(standby bool) error {
+				if standby || *accounts == "" {
+					return nil
 				}
-				if *accounts != "" {
-					n, err := loadAccounts(srv, *accounts)
-					if err != nil {
-						return nil, err
-					}
-					env.Logger.Info("provisioned accounts", "count", n, "file", *accounts)
+				n, err := loadAccounts(srv, *accounts)
+				if err != nil {
+					return err
 				}
-				if *holdSweep <= 0 {
-					return nil, nil
-				}
-				env.Logger.Info("hold sweeper running", "interval", *holdSweep)
-				return srv.StartHoldSweeper(*holdSweep), nil
+				env.Logger.Info("provisioned accounts", "count", n, "file", *accounts)
+				return nil
 			},
 		}, nil
 	}

@@ -61,16 +61,16 @@ func newDaemon() *daemon.Daemon {
 			// rules, and AddRule appends, so reloading would duplicate
 			// every rule per restart. A standby's database comes from
 			// the primary's WAL.
-			Start: func(standby bool) (func(), error) {
+			Start: func(standby bool) error {
 				if *rules == "" || standby || !srv.Empty() {
-					return nil, nil
+					return nil
 				}
 				n, err := loadRules(srv, *rules)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				env.Logger.Info("loaded rules", "count", n, "file", *rules)
-				return nil, nil
+				return nil
 			},
 		}, nil
 	}

@@ -51,16 +51,16 @@ func newDaemon() *daemon.Daemon {
 			// groups (plus any later edits), and re-adding nested groups
 			// would duplicate their entries. A standby's database comes
 			// from the primary's WAL.
-			Start: func(standby bool) (func(), error) {
+			Start: func(standby bool) error {
 				if *groups == "" || standby || !srv.Empty() {
-					return nil, nil
+					return nil
 				}
 				n, err := loadGroups(srv, *groups)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				env.Logger.Info("loaded groups", "count", n, "file", *groups)
-				return nil, nil
+				return nil
 			},
 		}, nil
 	}

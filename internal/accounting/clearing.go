@@ -7,7 +7,6 @@ import (
 	"net"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"proxykit/internal/acl"
@@ -590,7 +589,7 @@ func (s *Server) ReleaseExpiredHolds() int {
 	// Walk accounts and holds in sorted order so the ledger and audit
 	// journal record releases deterministically, not in map order. Each
 	// account's stripe is held only while its own holds are swept, so
-	// the sweeper never stalls the whole bank.
+	// a sweep never stalls the whole bank.
 	names := s.SortedAccountNames()
 	for _, name := range names {
 		a, ok := s.lookup(name)
@@ -629,34 +628,6 @@ func (s *Server) ReleaseExpiredHolds() int {
 		})
 	}
 	return len(freed)
-}
-
-// StartHoldSweeper launches a goroutine that calls ReleaseExpiredHolds
-// every interval, so certified-check holds whose check was never
-// deposited return to their accounts without waiting for the next
-// deposit to stumble over them. The returned stop function halts the
-// sweeper and waits for it to exit; calling it again is a no-op.
-func (s *Server) StartHoldSweeper(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				s.ReleaseExpiredHolds()
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-exited
-	}
 }
 
 // CashiersCheck sells a check drawn on the bank's own operating account:

@@ -7,9 +7,8 @@ import (
 	"proxykit/internal/principal"
 )
 
-// TestHoldSweeper: a background sweeper returns an expired
-// certified-check hold without any deposit touching the account, and
-// stop halts it cleanly.
+// TestHoldSweeper: a sweep leaves a live certified-check hold alone and
+// returns an expired one without any deposit touching the account.
 func TestHoldSweeper(t *testing.T) {
 	w := newWorld(t)
 	c := w.carolCheck(300)
@@ -20,42 +19,19 @@ func TestHoldSweeper(t *testing.T) {
 		t.Fatalf("after hold = %d", got)
 	}
 
-	stop := w.bank2.StartHoldSweeper(5 * time.Millisecond)
-	defer stop()
-
-	// Not yet expired: a sweep right now must leave the live hold alone.
-	// Calling the sweep directly makes this deterministic — no fixed
-	// sleep hoping the background ticker fired enough times.
 	if n := w.bank2.ReleaseExpiredHolds(); n != 0 {
 		t.Fatalf("sweep released %d live holds", n)
 	}
 	if got := w.balance(w.bank2, "carol", carol); got != 700 {
-		t.Fatalf("sweeper released a live hold: carol = %d", got)
+		t.Fatalf("sweep released a live hold: carol = %d", got)
 	}
 
-	// Expire the hold (check lifetime is 24h) and wait for the sweeper.
+	// Expire the hold (check lifetime is 24h).
 	w.clk.Advance(25 * time.Hour)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if got := w.balance(w.bank2, "carol", carol); got == 1000 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweeper never released the expired hold: carol = %d",
-				w.balance(w.bank2, "carol", carol))
-		}
-		time.Sleep(2 * time.Millisecond)
+	if n := w.bank2.ReleaseExpiredHolds(); n != 1 {
+		t.Fatalf("sweep released %d expired holds, want 1", n)
 	}
-
-	// stop is synchronous and idempotent: once it returns the sweeper
-	// goroutine has exited, so the expired hold below can never be
-	// released — no grace sleep needed before asserting.
-	stop()
-	if _, err := w.bank2.Certify("carol", []principal.ID{carol}, w.carolCheck(100)); err != nil {
-		t.Fatal(err)
-	}
-	w.clk.Advance(25 * time.Hour)
-	if got := w.balance(w.bank2, "carol", carol); got != 900 {
-		t.Fatalf("sweeper ran after stop: carol = %d", got)
+	if got := w.balance(w.bank2, "carol", carol); got != 1000 {
+		t.Fatalf("expired hold not returned: carol = %d", got)
 	}
 }

@@ -72,11 +72,10 @@ type Service struct {
 	Store *durable.Store
 	// Start, when non-nil, runs once the recovered state is in place
 	// and replication is up, before the listener opens: provisioning
-	// from a file, background sweepers. standby reports -standby (a
-	// standby's state comes from the primary's WAL, and the commit gate
-	// refuses local mutations). The returned stop, when non-nil, runs
-	// at shutdown.
-	Start func(standby bool) (stop func(), err error)
+	// from a file. standby reports -standby (a standby's state comes
+	// from the primary's WAL, and the commit gate refuses local
+	// mutations).
+	Start func(standby bool) error
 }
 
 // Daemon is one configured process: a flag set holding the shared flags
@@ -162,6 +161,17 @@ func (d *Daemon) Run(ctx context.Context, args []string) error {
 	}
 	defer obsCleanup()
 
+	if d.auditFile != "" {
+		// A crash mid-append can leave a torn final line, which audit.New
+		// refuses. Only that line is dropped; deeper damage still fails.
+		torn, err := audit.RepairTornTail(d.auditFile)
+		if err != nil {
+			return err
+		}
+		if torn {
+			logger.Warn("audit journal torn tail truncated", "file", d.auditFile)
+		}
+	}
 	journal, err := audit.New(audit.Options{Path: d.auditFile, Logger: logger})
 	if err != nil {
 		return err
@@ -240,12 +250,8 @@ func (d *Daemon) Run(ctx context.Context, args []string) error {
 	}
 
 	if svc.Start != nil {
-		stop, err := svc.Start(d.standby)
-		if err != nil {
+		if err := svc.Start(d.standby); err != nil {
 			return err
-		}
-		if stop != nil {
-			defer stop()
 		}
 	}
 

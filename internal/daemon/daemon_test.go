@@ -1,15 +1,18 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"proxykit/internal/audit"
 	"proxykit/internal/group"
 	"proxykit/internal/principal"
 	"proxykit/internal/repl"
@@ -30,9 +33,9 @@ func groupDaemon(onStart func(srv *group.Server, standby bool)) *Daemon {
 		return &Service{
 			Mux:   svc.NewGroupService(srv, env.Resolve, nil).Mux(),
 			Store: &srv.Store,
-			Start: func(standby bool) (func(), error) {
+			Start: func(standby bool) error {
 				onStart(srv, standby)
-				return nil, nil
+				return nil
 			},
 		}, nil
 	}
@@ -171,5 +174,47 @@ func TestReplicationFlagCombinationsRefused(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Run = %v, want an error containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestTornAuditTailRepairedAtStart: a journal whose last line was cut
+// short by a crash mid-append is trimmed at start-up and its intact
+// records kept; a byte flipped mid-chain is tampering, and Run refuses.
+func TestTornAuditTailRepairedAtStart(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "audit.jsonl")
+	j, err := audit.New(audit.Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"read", "write"} {
+		j.Append(audit.Record{Kind: audit.KindAuthorize, Object: "/doc", Op: op, Outcome: audit.OutcomeGranted})
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(append([]byte{}, intact...), `{"seq":3,"kind":"end.au`...), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-state", filepath.Join(dir, "state"), "-audit-file", path}
+	r := start(t, groupDaemon(func(*group.Server, bool) {}), args...)
+	if got := r.healthz(t)["auditRecords"]; got != float64(2) {
+		t.Errorf("/healthz auditRecords = %v after a torn tail, want 2", got)
+	}
+	r.stop(t)
+
+	tampered := append([]byte{}, intact...)
+	tampered[bytes.Index(tampered, []byte("/doc"))+1] ^= 0x01
+	if err := os.WriteFile(path, tampered, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := groupDaemon(func(*group.Server, bool) {}).Run(ctx, append([]string{"-listen", "127.0.0.1:0", "-log-level", "error"}, args...)); err == nil {
+		t.Fatal("Run started over a journal with a flipped byte mid-chain")
 	}
 }

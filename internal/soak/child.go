@@ -1,26 +1,29 @@
 package soak
 
-// The child bank: a ledger-backed accounting daemon running as a real
-// OS process that the harness SIGKILLs and restarts on a timer, the
-// crash-recovery discipline from internal/chaos generalized into a
-// continuous cycle. Its economy (alice pays bob numbered checks) is
-// disjoint from the main topology's, so the parent can audit it to the
-// dollar at every crash: recover the WAL on a copy, check conservation
-// and the journal chain, re-present the last paid check and demand
-// ErrDuplicateCheck — then restart the child and demand the same
-// refusal over RPC.
+// The child bank: the real cmd/acctd binary, run as an OS process that
+// the harness SIGKILLs and restarts on a timer — the crash-recovery
+// discipline from internal/chaos generalized into a continuous cycle.
+// Its economy (alice pays bob numbered checks) is disjoint from the main
+// topology's, so the parent can audit it to the dollar at every crash.
 //
-// The child is this same test binary re-exec'd: maybeRunChild, called
-// from the package's TestMain, intercepts processes launched with
-// SOAK_CHILD_DIR set.
+// The harness provisions it as an operator would: identities in a state
+// directory and an -accounts file that acctd re-reads on every restart.
+// A second `acctd -standby` with the same identity tails the child's
+// WAL. After each SIGKILL the standby is promoted over repl.promote,
+// audited over RPC, and SIGKILLed in turn; one offline audit then checks
+// both dead processes' ledgers — recover a copy, check conservation and
+// the journal chain, re-present the last paid check and demand
+// ErrDuplicateCheck. Finally the child restarts and must refuse the same
+// check over RPC.
 
 import (
-	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -33,6 +36,7 @@ import (
 	"proxykit/internal/principal"
 	"proxykit/internal/pubkey"
 	"proxykit/internal/repl"
+	"proxykit/internal/statefile"
 	"proxykit/internal/svc"
 	"proxykit/internal/transport"
 )
@@ -40,152 +44,21 @@ import (
 const (
 	childRealm = "SOAK-CHILD.ORG"
 	childMint  = 1_000_000_000_000
-	// childEnvDir and childEnvAddr gate maybeRunChild.
-	childEnvDir  = "SOAK_CHILD_DIR"
-	childEnvAddr = "SOAK_CHILD_ADDR"
 )
 
-// childWorld is the child bank's economy, reconstructible from fixed
-// identity seeds on both sides of the process boundary: recovery needs
-// the same bank identity the WAL records were written under.
-type childWorld struct {
-	dir   *pubkey.Directory
-	bank  *accounting.Server
-	alice *pubkey.Identity
-	bob   *pubkey.Identity
-}
-
-func newChildWorld() (*childWorld, error) {
-	w := &childWorld{dir: pubkey.NewDirectory()}
-	seeded := func(name string, fill byte) (*pubkey.Identity, error) {
-		ident, err := pubkey.IdentityFromSeed(principal.New(name, childRealm), bytes.Repeat([]byte{fill}, 32))
-		if err != nil {
-			return nil, err
-		}
-		w.dir.RegisterIdentity(ident)
-		return ident, nil
-	}
-	var err error
-	if w.alice, err = seeded("alice", 0x5A); err != nil {
-		return nil, err
-	}
-	if w.bob, err = seeded("bob", 0x5B); err != nil {
-		return nil, err
-	}
-	bankIdent, err := seeded("bank", 0x5C)
-	if err != nil {
-		return nil, err
-	}
-	w.bank = accounting.NewServer(bankIdent, w.dir.Resolver(), nil)
-	return w, nil
-}
-
-// open recovers (or freshly provisions) the bank from dir's ledger and
-// journal. A torn journal tail — the expected wreckage of a SIGKILL
-// mid-append — is repaired before replay; deeper damage is an error.
-func (w *childWorld) open(dir string) (*ledger.Recovery, error) {
-	journalPath := filepath.Join(dir, "audit.jsonl")
-	if _, err := audit.RepairTornTail(journalPath); err != nil {
-		return nil, err
-	}
-	rec, err := w.bank.OpenLedger(ledger.Options{
-		Dir:   filepath.Join(dir, "ledger"),
-		Fsync: ledger.FsyncAlways,
-	})
-	if err != nil {
-		return nil, err
-	}
-	j, err := audit.New(audit.Options{Path: journalPath})
-	if err != nil {
-		return nil, err
-	}
-	w.bank.SetJournal(j)
-	if rec.SnapshotSeq == 0 && rec.Replayed() == 0 {
-		// First boot, not a recovery: provision the economy. A crashed
-		// child always leaves WAL records behind (provisioning itself
-		// is ledgered), so this never re-mints after a crash.
-		if err := w.bank.CreateAccount("alice", w.alice.ID); err != nil {
-			return nil, err
-		}
-		if err := w.bank.CreateAccount("bob", w.bob.ID); err != nil {
-			return nil, err
-		}
-		if err := w.bank.Mint("alice", "dollars", childMint); err != nil {
-			return nil, err
-		}
-	}
-	return rec, nil
-}
-
-// writeNumbered writes and endorses check number num, alice -> bob.
-func (w *childWorld) writeNumbered(num string, amount int64) (*accounting.Check, error) {
-	c, err := accounting.WriteCheck(accounting.WriteCheckParams{
-		Payor:    w.alice,
-		Bank:     w.bank.ID,
-		Account:  "alice",
-		Payee:    w.bob.ID,
-		Currency: "dollars",
-		Amount:   amount,
-		Lifetime: time.Hour,
-		Number:   num,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.Endorse(w.bob, w.bank.ID, w.bank.ID, w.bank.Global("bob"), false, nil)
-}
-
-// maybeRunChild turns this process into the soak child bank when
-// SOAK_CHILD_DIR is set, never returning. TestMain calls it first thing
-// so a re-exec'd child skips the test suite entirely; in the parent it
-// returns at once.
-func maybeRunChild() {
-	dir := os.Getenv(childEnvDir)
-	if dir == "" {
-		return
-	}
-	if err := runChild(dir, os.Getenv(childEnvAddr)); err != nil {
-		fmt.Fprintln(os.Stderr, "soak child:", err)
-		os.Exit(1)
-	}
-	select {} // serve until SIGKILLed
-}
-
-func runChild(dir, addr string) error {
-	w, err := newChildWorld()
-	if err != nil {
-		return err
-	}
-	if _, err := w.open(dir); err != nil {
-		return err
-	}
-	w.bank.StartSnapshotter(2 * time.Second)
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	mux := svc.NewAcctService(w.bank, w.dir.Resolver(), nil).Mux()
-	// The child ships its WAL (asynchronously) to the parent-side
-	// standby, which is promoted after each SIGKILL.
-	node, err := repl.NewNode(repl.Config{SM: w.bank, Dir: filepath.Join(dir, "ledger")})
-	if err != nil {
-		return err
-	}
-	node.Mount(mux)
-	transport.NewTCPServer(l, mux)
-	// The ready file is the recovery handshake: state replayed, socket
-	// listening. The parent removes it before each restart.
-	return os.WriteFile(filepath.Join(dir, "ready"), []byte("ok\n"), 0o600)
-}
-
-// childCtl is the parent-side controller for the child bank.
+// childCtl is the parent-side controller for the child bank. Its dir
+// holds the acctd binary, the shared state directory, the accounts
+// file, the child's ledger and journal, and the standby's directory.
 type childCtl struct {
-	h     *harness
-	dir   string
-	addr  string
-	world *childWorld // for check-writing and offline audits; no ledger attached
-	proc  *chaos.Proc
-	bankC *svc.AcctClient
+	h      *harness
+	dir    string
+	addr   string
+	bankID principal.ID
+	alice  *pubkey.Identity
+	bob    *pubkey.Identity
+	proc   *chaos.Proc
+	conn   *transport.TCPClient
+	bankC  *svc.AcctClient
 
 	seq      atomic.Int64
 	lastPaid atomic.Value // string: highest check number known paid
@@ -193,14 +66,13 @@ type childCtl struct {
 	standby *standbyCtl
 }
 
-// standbyCtl is the in-process hot standby of the child bank: a full
-// replica (own ledger, own repl node) tailing the child's WAL over TCP,
-// promoted after each SIGKILL and discarded once audited.
+// standbyCtl is the child's hot standby: a second acctd loading the same
+// bank identity, replicating from an empty ledger, promoted after each
+// SIGKILL and discarded once audited.
 type standbyCtl struct {
-	dir   string
-	world *childWorld
-	conn  *transport.TCPClient
-	node  *repl.Node
+	dir  string
+	proc *chaos.Proc
+	conn *transport.TCPClient
 }
 
 func startChild(h *harness) (*childCtl, error) {
@@ -208,33 +80,132 @@ func startChild(h *harness) (*childCtl, error) {
 	if err != nil {
 		return nil, err
 	}
-	world, err := newChildWorld()
-	if err != nil {
-		return nil, err
-	}
-	// Pre-pick a fixed port so the auto-redialing client and every
-	// restarted child agree on the address.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	addr := l.Addr().String()
-	_ = l.Close()
-	c := &childCtl{h: h, dir: dir, addr: addr, world: world}
-	if err := c.spawn(); err != nil {
-		return nil, err
-	}
-	conn, err := transport.DialTCP(addr, 5*time.Second)
-	if err != nil {
-		c.stop()
-		return nil, err
-	}
-	c.bankC = svc.NewAcctClient(conn, world.bob, nil)
-	if err := c.attachStandby(); err != nil {
+	c := &childCtl{h: h, dir: dir}
+	if err := c.start(); err != nil {
 		c.stop()
 		return nil, err
 	}
 	return c, nil
+}
+
+func (c *childCtl) start() error {
+	if err := buildAcctd(c.bin()); err != nil {
+		return err
+	}
+	if err := c.provision(); err != nil {
+		return err
+	}
+	// A fixed port, so the auto-redialing client and every restarted
+	// child agree on the address.
+	addr, err := freeAddr()
+	if err != nil {
+		return err
+	}
+	c.addr = addr
+	if err := c.spawn(); err != nil {
+		return err
+	}
+	if c.conn, err = transport.DialTCP(addr, 5*time.Second); err != nil {
+		return err
+	}
+	c.bankC = svc.NewAcctClient(c.conn, c.bob, nil)
+	return c.attachStandby()
+}
+
+// buildAcctd compiles cmd/acctd to bin. The import path resolves from
+// the package directory go test runs in; the build cache makes this
+// cheap after the first build of a tree.
+func buildAcctd(bin string) error {
+	out, err := exec.Command("go", "build", "-o", bin, "proxykit/cmd/acctd").CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("build acctd: %w\n%s", err, out)
+	}
+	return nil
+}
+
+func (c *childCtl) bin() string      { return filepath.Join(c.dir, "acctd") }
+func (c *childCtl) stateDir() string { return filepath.Join(c.dir, "state") }
+func (c *childCtl) accounts() string { return filepath.Join(c.dir, "accounts.json") }
+
+// provision creates the economy's identities and the accounts file:
+// alice holds the whole mint, bob starts empty.
+func (c *childCtl) provision() error {
+	var err error
+	if c.alice, err = statefile.CreateIdentity(c.stateDir(), principal.New("alice", childRealm)); err != nil {
+		return err
+	}
+	if c.bob, err = statefile.CreateIdentity(c.stateDir(), principal.New("bob", childRealm)); err != nil {
+		return err
+	}
+	bank, err := statefile.CreateIdentity(c.stateDir(), principal.New("bank", childRealm))
+	if err != nil {
+		return err
+	}
+	c.bankID = bank.ID
+	raw, err := json.Marshal([]map[string]any{
+		{"name": "alice", "owner": c.alice.ID.String(), "mint": map[string]int64{"dollars": childMint}},
+		{"name": "bob", "owner": c.bob.ID.String()},
+	})
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(c.accounts(), raw, 0o600)
+}
+
+// runAcctd starts acctd with the flags both roles share plus extra, its
+// ledger and journal under dir, and waits for it to serve on addr.
+func (c *childCtl) runAcctd(dir, addr string, extra ...string) (*chaos.Proc, error) {
+	args := append([]string{
+		"-state", c.stateDir(), "-realm", childRealm, "-name", "bank",
+		"-listen", addr,
+		"-ledger-dir", filepath.Join(dir, "ledger"), "-fsync", "always", "-snapshot-interval", "2s",
+		"-audit-file", filepath.Join(dir, "audit.jsonl"),
+		"-log-level", "warn",
+	}, extra...)
+	proc, err := chaos.StartProc(c.bin(), args, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := awaitListening(addr, 15*time.Second); err != nil {
+		proc.Stop()
+		return nil, err
+	}
+	return proc, nil
+}
+
+// awaitListening polls addr until it accepts a TCP connection. acctd
+// opens its RPC listener only after recovery, provisioning and its repl
+// node are up, so an accepted connection is the recovery handshake.
+func awaitListening(addr string, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		conn, err := net.DialTimeout("tcp", addr, 100*time.Millisecond)
+		if err == nil {
+			return conn.Close()
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("acctd not serving on %s after %v: %w", addr, timeout, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func freeAddr() (string, error) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
+	}
+	addr := l.Addr().String()
+	return addr, l.Close()
+}
+
+func (c *childCtl) spawn() error {
+	proc, err := c.runAcctd(c.dir, c.addr, "-accounts", c.accounts())
+	if err != nil {
+		return err
+	}
+	c.proc = proc
+	return nil
 }
 
 // attachStandby starts a fresh hot standby replicating from the child.
@@ -242,40 +213,24 @@ func startChild(h *harness) (*childCtl, error) {
 // arrives through the shipping stream (or a snapshot install when the
 // child's snapshotter has already truncated the WAL).
 func (c *childCtl) attachStandby() error {
-	dir, err := os.MkdirTemp("", "soak-standby-")
+	dir := filepath.Join(c.dir, "standby")
+	if err := os.MkdirAll(dir, 0o700); err != nil {
+		return err
+	}
+	addr, err := freeAddr()
 	if err != nil {
 		return err
 	}
-	world, err := newChildWorld()
+	proc, err := c.runAcctd(dir, addr, "-standby", "-replicate-from", c.addr)
 	if err != nil {
-		os.RemoveAll(dir)
 		return err
 	}
-	if _, err := world.bank.OpenLedger(ledger.Options{Dir: filepath.Join(dir, "ledger"), Fsync: ledger.FsyncOff}); err != nil {
-		os.RemoveAll(dir)
-		return err
-	}
-	conn, err := transport.DialTCP(c.addr, 5*time.Second)
+	conn, err := transport.DialTCP(addr, 5*time.Second)
 	if err != nil {
-		world.bank.CloseLedger()
-		os.RemoveAll(dir)
+		proc.Stop()
 		return err
 	}
-	node, err := repl.NewNode(repl.Config{
-		SM:        world.bank,
-		Dir:       filepath.Join(dir, "ledger"),
-		Standby:   true,
-		Source:    conn,
-		PullWait:  100 * time.Millisecond,
-		RetryWait: 50 * time.Millisecond,
-	})
-	if err != nil {
-		conn.Close()
-		world.bank.CloseLedger()
-		os.RemoveAll(dir)
-		return err
-	}
-	c.standby = &standbyCtl{dir: dir, world: world, conn: conn, node: node}
+	c.standby = &standbyCtl{dir: dir, proc: proc, conn: conn}
 	return nil
 }
 
@@ -285,9 +240,8 @@ func (c *childCtl) detachStandby() {
 		return
 	}
 	c.standby = nil
-	s.node.Close()
+	s.proc.Stop()
 	s.conn.Close()
-	s.world.bank.CloseLedger()
 	_ = os.RemoveAll(s.dir)
 }
 
@@ -296,84 +250,75 @@ func (c *childCtl) detachStandby() {
 // moving, but anything acknowledged before this snapshot — the last
 // paid check in particular — is on the standby once it returns.
 func (c *childCtl) awaitStandbyCaughtUp(timeout time.Duration) error {
-	conn, err := transport.DialTCP(c.addr, 5*time.Second)
+	child, err := repl.NewClient(c.conn).Status()
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	st, err := repl.NewClient(conn).Status()
-	if err != nil {
-		return err
-	}
+	standby := repl.NewClient(c.standby.conn)
 	deadline := time.Now().Add(timeout)
-	for c.standby.node.Status().LastSeq < st.LastSeq {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("standby stuck at seq %d, child at %d after %s",
-				c.standby.node.Status().LastSeq, st.LastSeq, timeout)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return nil
-}
-
-// failoverAudit promotes the standby over the dead child and audits the
-// new primary: the read-only gate held until promotion, the fencing
-// term advanced, the books conserve, the last acknowledged check is
-// refused (accept-once survives failover), and fresh writes clear.
-func (c *childCtl) failoverAudit(cycle int, refuseNum string) error {
-	s := c.standby
-	gateCheck, err := s.world.writeNumbered(fmt.Sprintf("failover-%06d-gate", cycle), 1)
-	if err != nil {
-		return err
-	}
-	if _, err := s.world.bank.DepositCheck(gateCheck, []principal.ID{s.world.bob.ID}, "bob"); !errors.Is(err, repl.ErrNotPrimary) {
-		return fmt.Errorf("standby admitted a local mutation before promotion (err=%v)", err)
-	}
-	oldTerm := s.node.Term()
-	newTerm, err := s.node.Promote()
-	if err != nil {
-		return fmt.Errorf("promote: %w", err)
-	}
-	if newTerm <= oldTerm {
-		return fmt.Errorf("promotion did not advance the term: %d -> %d", oldTerm, newTerm)
-	}
-	t := s.world.bank.Totals()
-	if got := t.Balances["dollars"] + t.Uncollected["dollars"] + t.Held["dollars"]; got != childMint {
-		return fmt.Errorf("conservation violated on promoted standby: books hold %d, minted %d", got, childMint)
-	}
-	if refuseNum != "" {
-		endorsed, err := s.world.writeNumbered(refuseNum, 1)
+	for {
+		st, err := standby.Status()
 		if err != nil {
 			return err
 		}
-		if _, err := s.world.bank.DepositCheck(endorsed, []principal.ID{s.world.bob.ID}, "bob"); !errors.Is(err, accounting.ErrDuplicateCheck) {
+		if st.LastSeq >= child.LastSeq {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("standby stuck at seq %d, child at %d after %s", st.LastSeq, child.LastSeq, timeout)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// failoverAudit promotes the standby over the dead child and audits the
+// new primary over RPC — the read-only gate held until promotion, the
+// fencing term advanced, the last acknowledged check is refused
+// (accept-once survives failover), and fresh writes clear — then
+// SIGKILLs it and audits its ledger offline.
+func (c *childCtl) failoverAudit(cycle int, refuseNum string) error {
+	s := c.standby
+	bank := svc.NewAcctClient(s.conn, c.bob, nil)
+	gate, err := c.writeNumbered(fmt.Sprintf("failover-%06d-gate", cycle), 1)
+	if err != nil {
+		return err
+	}
+	if _, err := bank.DepositCheck(gate, "bob"); err == nil || !strings.Contains(err.Error(), "not primary") {
+		return fmt.Errorf("standby admitted a deposit before promotion (err=%v)", err)
+	}
+	rc := repl.NewClient(s.conn)
+	st, err := rc.Status()
+	if err != nil {
+		return err
+	}
+	newTerm, err := rc.Promote()
+	if err != nil {
+		return fmt.Errorf("promote: %w", err)
+	}
+	if newTerm <= st.Term {
+		return fmt.Errorf("promotion did not advance the term: %d -> %d", st.Term, newTerm)
+	}
+	if refuseNum != "" {
+		endorsed, err := c.writeNumbered(refuseNum, 1)
+		if err != nil {
+			return err
+		}
+		if _, err := bank.DepositCheck(endorsed, "bob"); err == nil || !strings.Contains(err.Error(), "duplicate") {
 			return fmt.Errorf("promoted standby honored already-paid check %q (err=%v)", refuseNum, err)
 		}
 	}
-	fresh, err := s.world.writeNumbered(fmt.Sprintf("failover-%06d-fresh", cycle), 1)
+	fresh, err := c.writeNumbered(fmt.Sprintf("failover-%06d-fresh", cycle), 1)
 	if err != nil {
 		return err
 	}
-	if _, err := s.world.bank.DepositCheck(fresh, []principal.ID{s.world.bob.ID}, "bob"); err != nil {
+	if _, err := bank.DepositCheck(fresh, "bob"); err != nil {
 		return fmt.Errorf("promoted standby refused a fresh deposit: %w", err)
 	}
-	return nil
-}
-
-func (c *childCtl) readyPath() string { return filepath.Join(c.dir, "ready") }
-
-func (c *childCtl) spawn() error {
-	proc, err := chaos.StartProc(os.Args[0], nil, []string{
-		childEnvDir + "=" + c.dir,
-		childEnvAddr + "=" + c.addr,
-	})
-	if err != nil {
+	if err := s.proc.Kill(); err != nil {
 		return err
 	}
-	c.proc = proc
-	if err := chaos.AwaitFile(c.readyPath(), 15*time.Second); err != nil {
-		proc.Stop()
-		return err
+	if err := c.auditOffline(s.dir, refuseNum); err != nil {
+		return fmt.Errorf("promoted standby after SIGKILL: %w", err)
 	}
 	return nil
 }
@@ -383,7 +328,28 @@ func (c *childCtl) stop() {
 	if c.proc != nil {
 		c.proc.Stop()
 	}
+	if c.conn != nil {
+		c.conn.Close()
+	}
 	_ = os.RemoveAll(c.dir)
+}
+
+// writeNumbered writes and endorses check number num, alice -> bob.
+func (c *childCtl) writeNumbered(num string, amount int64) (*accounting.Check, error) {
+	chk, err := accounting.WriteCheck(accounting.WriteCheckParams{
+		Payor:    c.alice,
+		Bank:     c.bankID,
+		Account:  "alice",
+		Payee:    c.bob.ID,
+		Currency: "dollars",
+		Amount:   amount,
+		Lifetime: time.Hour,
+		Number:   num,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return chk.Endorse(c.bob, c.bankID, c.bankID, principal.NewGlobal(c.bankID, "bob"), false, nil)
 }
 
 // deposit pays bob the next numbered check over RPC. A duplicate
@@ -391,7 +357,7 @@ func (c *childCtl) stop() {
 // §7.7's accept-once-as-ack — so it counts as success.
 func (c *childCtl) deposit(amount int64) error {
 	num := fmt.Sprintf("soak-%06d", c.seq.Add(1))
-	endorsed, err := c.world.writeNumbered(num, amount)
+	endorsed, err := c.writeNumbered(num, amount)
 	if err != nil {
 		return err
 	}
@@ -422,30 +388,30 @@ func (c *childCtl) crashOnce() error {
 	c.h.mu.Unlock()
 	c.h.logf("soak: crash cycle %d: child bank SIGKILLed", crash)
 
-	if err := c.failoverAudit(crash, refuseNum); err != nil {
-		c.detachStandby()
+	err := c.failoverAudit(crash, refuseNum)
+	c.detachStandby()
+	if err != nil {
 		return fmt.Errorf("failover audit (cycle %d): %w", crash, err)
 	}
-	c.detachStandby()
 	c.h.mu.Lock()
 	c.h.failovers++
 	c.h.mu.Unlock()
 	c.h.logf("soak: crash cycle %d: standby promoted, audited, and retired", crash)
 
-	if err := c.auditOffline(); err != nil {
+	// Every check the child acknowledged is on its disk (-fsync always),
+	// so the dead child's ledger must refuse the newest one.
+	lastPaid, _ := c.lastPaid.Load().(string)
+	if err := c.auditOffline(c.dir, lastPaid); err != nil {
 		return fmt.Errorf("post-crash audit (cycle %d): %w", crash, err)
 	}
 
-	if err := os.Remove(c.readyPath()); err != nil {
-		return err
-	}
 	if err := c.spawn(); err != nil {
 		return fmt.Errorf("restart (cycle %d): %w", crash, err)
 	}
 
 	// The recovered daemon must refuse the last paid number over RPC.
 	if num, ok := c.lastPaid.Load().(string); ok {
-		endorsed, err := c.world.writeNumbered(num, 1)
+		endorsed, err := c.writeNumbered(num, 1)
 		if err != nil {
 			return err
 		}
@@ -476,48 +442,53 @@ func (c *childCtl) crashOnce() error {
 	return nil
 }
 
-// auditOffline replays the dead child's WAL on a copy and audits the
-// wreckage: books balance to the dollar, the journal chain holds (torn
-// tail at most), and the last paid check is refused on repl. The copy
-// keeps the audit from perturbing the state the restarted child will
-// recover from.
-func (c *childCtl) auditOffline() error {
+// auditOffline recovers a dead acctd's ledger and journal from dir on a
+// copy and audits the wreckage: the journal chain holds (a torn tail at
+// most), books balance to the dollar, and check refuseNum, when set, is
+// refused as a duplicate. The copy keeps the audit from perturbing the
+// state a restarted acctd recovers from — including the torn tail it
+// must repair itself.
+func (c *childCtl) auditOffline(dir, refuseNum string) error {
 	tmp, err := os.MkdirTemp("", "soak-audit-")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	if err := copyDir(filepath.Join(c.dir, "ledger"), filepath.Join(tmp, "ledger")); err != nil {
+	if err := copyDir(filepath.Join(dir, "ledger"), filepath.Join(tmp, "ledger")); err != nil {
 		return err
 	}
-	if err := copyFile(filepath.Join(c.dir, "audit.jsonl"), filepath.Join(tmp, "audit.jsonl")); err != nil && !os.IsNotExist(err) {
+	journal := filepath.Join(tmp, "audit.jsonl")
+	if err := copyFile(filepath.Join(dir, "audit.jsonl"), journal); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	// RepairTornTail walks the whole chain: it succeeds only if the
+	// chain verifies once at most its final line is dropped.
+	if _, err := audit.RepairTornTail(journal); err != nil {
 		return err
 	}
 
-	w, err := newChildWorld()
+	ident, err := statefile.LoadIdentity(c.stateDir(), c.bankID)
 	if err != nil {
 		return err
 	}
-	if _, err := w.open(tmp); err != nil {
+	bank := accounting.NewServer(ident, statefile.DynamicResolver(c.stateDir()), nil)
+	if _, err := bank.OpenLedger(ledger.Options{Dir: filepath.Join(tmp, "ledger"), Fsync: ledger.FsyncAlways}); err != nil {
 		return fmt.Errorf("recovery replay failed: %w", err)
 	}
-	defer w.bank.CloseLedger()
+	defer bank.CloseLedger()
 
 	// Conservation: alice + bob must still hold exactly the mint.
-	t := w.bank.Totals()
+	t := bank.Totals()
 	if got := t.Balances["dollars"] + t.Uncollected["dollars"] + t.Held["dollars"]; got != childMint {
-		return fmt.Errorf("conservation violated in child bank: recovered books hold %d, minted %d", got, childMint)
+		return fmt.Errorf("conservation violated: recovered books hold %d, minted %d", got, childMint)
 	}
-
-	// The journal chain verified during open (torn tail repaired). The
-	// recovered books must refuse the last paid number.
-	if num, ok := c.lastPaid.Load().(string); ok {
-		endorsed, err := w.writeNumbered(num, 1)
+	if refuseNum != "" {
+		endorsed, err := c.writeNumbered(refuseNum, 1)
 		if err != nil {
 			return err
 		}
-		if _, err := w.bank.DepositCheck(endorsed, []principal.ID{w.bob.ID}, "bob"); !errors.Is(err, accounting.ErrDuplicateCheck) {
-			return fmt.Errorf("recovered WAL honored already-paid check %q (err=%v)", num, err)
+		if _, err := bank.DepositCheck(endorsed, []principal.ID{c.bob.ID}, "bob"); !errors.Is(err, accounting.ErrDuplicateCheck) {
+			return fmt.Errorf("recovered WAL honored already-paid check %q (err=%v)", refuseNum, err)
 		}
 	}
 	return nil

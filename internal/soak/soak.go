@@ -3,13 +3,14 @@
 // — Kerberos logins, cascaded authorizations, group/ACL churn,
 // same-bank and cross-bank payments, certified checks, gateway HTTP
 // traffic — with seeded fault injection on the inter-bank clearing hop
-// and periodic SIGKILL crash/recovery of a ledger-backed bank running
-// in a child process. A continuous verifier re-walks the banks' audit
-// journals and money census between operations, asserting global
-// conservation of money to the dollar, exactly-once clearing per check
-// number, unbroken hash chains, and trace completeness. Any violation
-// stops the run immediately and reports the seed and a reproduction
-// command.
+// and periodic SIGKILL crash/recovery of the real cmd/acctd binary as a
+// child-process bank, with a second acctd as its hot standby, promoted
+// and audited on every crash cycle. A continuous verifier re-walks the
+// banks' audit journals and money census between operations, asserting
+// global conservation of money to the dollar, exactly-once clearing per
+// check number, unbroken hash chains, and trace completeness. Any
+// violation stops the run immediately and reports the seed and a
+// reproduction command.
 //
 // The op schedule is drawn from a single seeded PRNG before dispatch,
 // so the same seed (and the same op count) reproduces the same

@@ -2,7 +2,6 @@ package soak
 
 import (
 	"flag"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -12,13 +11,6 @@ var (
 	soakTime = flag.Duration("soak.time", 6*time.Second, "TestSoakStorm duration")
 	soakSeed = flag.Int64("soak.seed", 1, "TestSoakStorm seed")
 )
-
-// TestMain lets a re-exec'd copy of this binary become the soak child
-// bank instead of running the test suite.
-func TestMain(m *testing.M) {
-	maybeRunChild()
-	os.Exit(m.Run())
-}
 
 // TestSoakStorm is the full storm: every scenario concurrently, fault
 // injection on the clearing hop, SIGKILL crash/recovery of the child
