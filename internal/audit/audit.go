@@ -140,29 +140,3 @@ func (l *Log) Records() []Record {
 func (l *Log) Len() int {
 	return len(l.j.Tail(0))
 }
-
-// ByGrantor returns retained records whose rights came from grantor.
-func (l *Log) ByGrantor(grantor principal.ID) []Record {
-	var out []Record
-	for _, r := range l.Records() {
-		if r.Grantor == grantor {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ByIntermediate returns retained records whose delegation trail
-// includes id — the query the paper's audit-trail argument enables.
-func (l *Log) ByIntermediate(id principal.ID) []Record {
-	var out []Record
-	for _, r := range l.Records() {
-		for _, t := range r.Trail {
-			if t == id {
-				out = append(out, r)
-				break
-			}
-		}
-	}
-	return out
-}

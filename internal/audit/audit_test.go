@@ -58,6 +58,9 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
+// TestByGrantorAndIntermediate: each retained record keeps the grantor
+// its rights came from and its delegation trail, the fields the paper's
+// audit-trail query (§3.4) reads.
 func TestByGrantorAndIntermediate(t *testing.T) {
 	l := NewLog(10)
 	l.Append(sample("read", OutcomeGranted))
@@ -66,14 +69,15 @@ func TestByGrantorAndIntermediate(t *testing.T) {
 	other.Trail = nil
 	l.Append(other)
 
-	if got := l.ByGrantor(alice); len(got) != 1 {
-		t.Fatalf("by grantor = %d", len(got))
+	rs := l.Records()
+	if len(rs) != 2 {
+		t.Fatalf("records = %d", len(rs))
 	}
-	if got := l.ByIntermediate(spool); len(got) != 1 {
-		t.Fatalf("by intermediate = %d", len(got))
+	if rs[0].Grantor != alice || len(rs[0].Trail) != 1 || rs[0].Trail[0] != spool {
+		t.Fatalf("rec0 grantor/trail = %v/%v", rs[0].Grantor, rs[0].Trail)
 	}
-	if got := l.ByIntermediate(bob); len(got) != 0 {
-		t.Fatalf("phantom intermediate = %d", len(got))
+	if rs[1].Grantor != bob || len(rs[1].Trail) != 0 {
+		t.Fatalf("rec1 grantor/trail = %v/%v", rs[1].Grantor, rs[1].Trail)
 	}
 }
 

@@ -130,7 +130,7 @@ func gcCrashRound(t *testing.T, killAfter int) {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	if err := AwaitFile(filepath.Join(dir, "ready"), 30*time.Second); err != nil {
+	if err := awaitFile(filepath.Join(dir, "ready"), 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)

@@ -331,3 +331,18 @@ func metricValue(t *testing.T, name string) float64 {
 	}
 	return v
 }
+
+// awaitFile polls until path exists: the ready-file handshake a child
+// daemon completes once it has recovered its state and is serving.
+func awaitFile(path string, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		if _, err := os.Stat(path); err == nil {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("chaos: %s not ready after %v", path, timeout)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -136,7 +136,7 @@ func TestReplFailoverKillPrimary(t *testing.T) {
 	}
 	defer child.Stop()
 
-	if err := AwaitFile(filepath.Join(dir, "addr"), 30*time.Second); err != nil {
+	if err := awaitFile(filepath.Join(dir, "addr"), 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	addrRaw, err := os.ReadFile(filepath.Join(dir, "addr"))

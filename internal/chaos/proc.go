@@ -1,15 +1,14 @@
 package chaos
 
 // Shared child-process crash/recovery helpers for this suite and the
-// soak world (internal/soak): start a daemon as a real OS process,
-// SIGKILL it mid-write, and await its recovery handshake.
+// soak world (internal/soak): start a daemon as a real OS process and
+// SIGKILL it mid-write.
 
 import (
 	"fmt"
 	"os"
 	"os/exec"
 	"syscall"
-	"time"
 )
 
 // Proc is a child process hosting a daemon under crash testing.
@@ -61,19 +60,4 @@ func (p *Proc) Kill() error {
 func (p *Proc) Stop() {
 	_ = p.cmd.Process.Kill()
 	_, _ = p.cmd.Process.Wait()
-}
-
-// AwaitFile polls until path exists — the ready-file handshake a child
-// daemon completes once it has recovered its state and is serving.
-func AwaitFile(path string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if _, err := os.Stat(path); err == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: %s not ready after %v", path, timeout)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }

@@ -57,10 +57,4 @@ func TestAuditLogRecordsDecisions(t *testing.T) {
 	if recs[2].Grantor != alice || len(recs[2].Trail) != 1 || recs[2].Trail[0] != bob {
 		t.Fatalf("rec2 = %+v", recs[2])
 	}
-
-	// The audit-trail query: which decisions involved bob as an
-	// intermediate?
-	if got := log.ByIntermediate(bob); len(got) != 1 {
-		t.Fatalf("by intermediate = %d", len(got))
-	}
 }

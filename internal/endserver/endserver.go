@@ -13,7 +13,6 @@ package endserver
 
 import (
 	"context"
-	"crypto/subtle"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -52,7 +51,6 @@ type Server struct {
 
 	mu         sync.Mutex
 	objects    map[string]*acl.ACL
-	defaultACL *acl.ACL
 	challenges map[string]time.Time
 	journal    *audit.Journal
 }
@@ -142,21 +140,11 @@ func (s *Server) SetACL(object string, a *acl.ACL) {
 	s.objects[object] = a
 }
 
-// SetDefaultACL installs the ACL used for objects with no specific list.
-func (s *Server) SetDefaultACL(a *acl.ACL) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.defaultACL = a
-}
-
-// aclFor returns the effective ACL for object.
+// aclFor returns the ACL for object, nil if it has none.
 func (s *Server) aclFor(object string) *acl.ACL {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if a, ok := s.objects[object]; ok {
-		return a
-	}
-	return s.defaultACL
+	return s.objects[object]
 }
 
 // Hints returns the subjects of the ACL entries protecting object — the
@@ -481,10 +469,4 @@ func groupList(m map[principal.Global]bool) []principal.Global {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// ConstantTimeEqual compares secrets without leaking length-prefix
-// timing; exported for service implementations built on this package.
-func ConstantTimeEqual(a, b []byte) bool {
-	return len(a) == len(b) && subtle.ConstantTimeCompare(a, b) == 1
 }

@@ -138,25 +138,15 @@ func (r Rule) matches(method string) bool {
 // all randomness flows from the seed given to New, so a serial call
 // sequence yields an identical fault sequence on every run.
 type Injector struct {
-	mu       sync.Mutex
-	rng      *rand.Rand
-	rules    []Rule
-	disabled bool
+	mu    sync.Mutex
+	rng   *rand.Rand
+	rules []Rule
 }
 
 // New returns an Injector applying rules (first match wins) with a
 // deterministic PRNG seeded by seed.
 func New(seed int64, rules ...Rule) *Injector {
 	return &Injector{rng: rand.New(rand.NewSource(seed)), rules: rules}
-}
-
-// SetEnabled turns injection on or off; while disabled every Decide
-// returns ActNone. Healing a partition mid-test is SetEnabled(false)
-// on the partition's injector.
-func (i *Injector) SetEnabled(enabled bool) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.disabled = !enabled
 }
 
 // Decide returns the fault verdict for one message to method. Dice are
@@ -168,9 +158,6 @@ func (i *Injector) Decide(method string) Decision {
 	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	if i.disabled {
-		return Decision{}
-	}
 	var d Decision
 	for _, r := range i.rules {
 		if !r.matches(method) {

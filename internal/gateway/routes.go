@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
 	"proxykit/internal/accounting"
-	"proxykit/internal/faultpoint"
 	"proxykit/internal/obs"
 	"proxykit/internal/principal"
 	"proxykit/internal/proxy"
@@ -21,8 +19,9 @@ import (
 	"proxykit/internal/wire"
 )
 
-// Route describes one HTTP API route. Routes() is the catalogue
-// TestGatewayDocCatalogue checks GATEWAY.md against.
+// Route describes one HTTP API route. Routes() is the table Handler
+// serves and the catalogue TestGatewayDocCatalogue checks GATEWAY.md
+// against.
 type Route struct {
 	// Method is the HTTP verb.
 	Method string
@@ -30,19 +29,21 @@ type Route struct {
 	Path string
 	// Summary is a one-line description.
 	Summary string
+
+	handle func(*Gateway, http.ResponseWriter, *http.Request, *session, obs.Trace)
 }
 
 // Routes enumerates the gateway's HTTP API.
 func Routes() []Route {
 	return []Route{
-		{"POST", "/v1/authorize", "Perform an authorized operation against the end-server via a cached restricted proxy."},
-		{"POST", "/v1/transfer", "Transfer funds between accounts at the bank as the mapped principal."},
-		{"GET", "/v1/balance", "Read an account balance at the bank."},
-		{"POST", "/v1/check/write", "Write a payee-named check drawn on the caller's account."},
-		{"POST", "/v1/check/deposit", "Endorse and deposit a previously written check."},
-		{"GET", "/v1/session", "Describe the caller's own session."},
-		{"GET", "/v1/sessions", "List all sessions and the redacted token map (admin only)."},
-		{"GET", "/v1/proxies", "List cached proxies and their renewal state (admin only)."},
+		{"POST", "/v1/authorize", "Perform an authorized operation against the end-server via a cached restricted proxy.", (*Gateway).handleAuthorize},
+		{"POST", "/v1/transfer", "Transfer funds between accounts at the bank as the mapped principal.", (*Gateway).handleTransfer},
+		{"GET", "/v1/balance", "Read an account balance at the bank.", (*Gateway).handleBalance},
+		{"POST", "/v1/check/write", "Write a payee-named check drawn on the caller's account.", (*Gateway).handleCheckWrite},
+		{"POST", "/v1/check/deposit", "Endorse and deposit a previously written check.", (*Gateway).handleCheckDeposit},
+		{"GET", "/v1/session", "Describe the caller's own session.", (*Gateway).handleSession},
+		{"GET", "/v1/sessions", "List all sessions and the redacted token map (admin only).", (*Gateway).handleSessions},
+		{"GET", "/v1/proxies", "List cached proxies and their renewal state (admin only).", (*Gateway).handleProxies},
 	}
 }
 
@@ -100,25 +101,15 @@ func statusForUpstream(err error) int {
 			return http.StatusBadRequest
 		}
 	}
-	var ferr *faultpoint.Error
-	var nerr net.Error
-	if errors.As(err, &ferr) || errors.As(err, &nerr) || errors.Is(err, transport.ErrClosed) {
-		return http.StatusBadGateway
-	}
 	return http.StatusBadGateway
 }
 
-// Handler returns the gateway's HTTP API handler.
+// Handler returns the gateway's HTTP API handler, serving Routes().
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/authorize", g.route("POST /v1/authorize", g.handleAuthorize))
-	mux.HandleFunc("/v1/transfer", g.route("POST /v1/transfer", g.handleTransfer))
-	mux.HandleFunc("/v1/balance", g.route("GET /v1/balance", g.handleBalance))
-	mux.HandleFunc("/v1/check/write", g.route("POST /v1/check/write", g.handleCheckWrite))
-	mux.HandleFunc("/v1/check/deposit", g.route("POST /v1/check/deposit", g.handleCheckDeposit))
-	mux.HandleFunc("/v1/session", g.route("GET /v1/session", g.handleSession))
-	mux.HandleFunc("/v1/sessions", g.route("GET /v1/sessions", g.handleSessions))
-	mux.HandleFunc("/v1/proxies", g.route("GET /v1/proxies", g.handleProxies))
+	for _, rt := range Routes() {
+		mux.HandleFunc(rt.Path, g.route(rt))
+	}
 	return mux
 }
 
@@ -133,20 +124,22 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// route wraps a handler with the per-request scaffolding: method
-// check, a fresh root trace (returned in X-Trace-Id), bearer
+// route wraps a route's handler with the per-request scaffolding:
+// method check, a fresh root trace (returned in X-Trace-Id), bearer
 // authentication, metrics, and a server span — so one trace ID joins
 // the HTTP request to every downstream RPC span and audit record.
-func (g *Gateway) route(label string, h func(http.ResponseWriter, *http.Request, *session, obs.Trace)) http.HandlerFunc {
-	method, _, _ := strings.Cut(label, " ")
+func (g *Gateway) route(rt Route) http.HandlerFunc {
+	label := rt.Method + " " + rt.Path
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := obs.NewTrace()
 		w.Header().Set("X-Trace-Id", tr.TraceID)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
 		func() {
-			if r.Method != method {
-				writeErr(sw, http.StatusMethodNotAllowed, tr, fmt.Errorf("use %s", method))
+			if r.Method != rt.Method {
+				// RFC 9110 §15.5.6: a 405 names the allowed methods.
+				sw.Header().Set("Allow", rt.Method)
+				writeErr(sw, http.StatusMethodNotAllowed, tr, fmt.Errorf("use %s", rt.Method))
 				return
 			}
 			s, code, err := g.authenticate(r, tr)
@@ -154,7 +147,7 @@ func (g *Gateway) route(label string, h func(http.ResponseWriter, *http.Request,
 				writeErr(sw, code, tr, err)
 				return
 			}
-			h(sw, r, s, tr)
+			rt.handle(g, sw, r, s, tr)
 		}()
 		dur := time.Since(start)
 		mHTTPRequests.With(label, strconv.Itoa(sw.code)).Inc()
@@ -168,11 +161,23 @@ func (g *Gateway) route(label string, h func(http.ResponseWriter, *http.Request,
 	}
 }
 
-// decode reads a JSON request body into v.
-func decode(r *http.Request, v any) error {
+// decode reads a JSON request body into v. On failure it answers 413
+// for a body over the 1 MiB cap and 400 for any other decode error, and
+// returns false.
+func decode(w http.ResponseWriter, r *http.Request, tr obs.Trace, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, tr, err)
+	return false
 }
 
 // handleAuthorize performs one end-server operation as the mapped
@@ -185,8 +190,7 @@ func (g *Gateway) handleAuthorize(w http.ResponseWriter, r *http.Request, s *ses
 		Op      string           `json:"op"`
 		Amounts map[string]int64 `json:"amounts,omitempty"`
 	}
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, tr, err)
+	if !decode(w, r, tr, &req) {
 		return
 	}
 	if req.Object == "" || req.Op == "" {
@@ -233,8 +237,7 @@ func (g *Gateway) handleTransfer(w http.ResponseWriter, r *http.Request, s *sess
 		Currency string `json:"currency"`
 		Amount   int64  `json:"amount"`
 	}
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, tr, err)
+	if !decode(w, r, tr, &req) {
 		return
 	}
 	if req.From == "" || req.To == "" || req.Currency == "" || req.Amount <= 0 {
@@ -291,8 +294,7 @@ func (g *Gateway) handleCheckWrite(w http.ResponseWriter, r *http.Request, s *se
 		Amount          int64  `json:"amount"`
 		LifetimeSeconds int64  `json:"lifetimeSeconds,omitempty"`
 	}
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, tr, err)
+	if !decode(w, r, tr, &req) {
 		return
 	}
 	if req.Account == "" || req.Currency == "" || req.Amount <= 0 {
@@ -345,8 +347,7 @@ func (g *Gateway) handleCheckDeposit(w http.ResponseWriter, r *http.Request, s *
 		Check   string `json:"check"`
 		Account string `json:"account"`
 	}
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, tr, err)
+	if !decode(w, r, tr, &req) {
 		return
 	}
 	if req.Check == "" || req.Account == "" {

@@ -3,9 +3,7 @@ package integration
 import (
 	"bytes"
 	"encoding/json"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -352,64 +350,6 @@ func TestDocMakeTargets(t *testing.T) {
 				t.Fatalf("no `%s <command>` references found; the patterns are stale", tc.tool)
 			}
 		})
-	}
-}
-
-var (
-	// fuzzFuncRE matches a fuzz target's declaration in a test file.
-	fuzzFuncRE = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
-	// fuzzRunRE matches one `go test -fuzz=<name> ... ./<pkg>/` line of
-	// the Makefile's fuzz recipe.
-	fuzzRunRE = regexp.MustCompile(`-fuzz=(\w+)\s.*\s\./(\S+?)/?\s*$`)
-)
-
-// TestFuzzTargetsInMakefile checks that `make fuzz` runs every fuzz
-// target under internal/: one the recipe does not name only ever runs
-// its seed corpus.
-func TestFuzzTargetsInMakefile(t *testing.T) {
-	raw, err := os.ReadFile("../../Makefile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, recipe, ok := strings.Cut(string(raw), "\nfuzz:\n")
-	if !ok {
-		t.Fatal("Makefile has no fuzz target")
-	}
-	if i := strings.Index(recipe, "\n\n"); i >= 0 {
-		recipe = recipe[:i]
-	}
-	run := make(map[string]bool) // "internal/<pkg>.<FuzzName>"
-	for _, line := range strings.Split(recipe, "\n") {
-		if m := fuzzRunRE.FindStringSubmatch(line); m != nil {
-			run[m[2]+"."+m[1]] = true
-		}
-	}
-	found := 0
-	err = filepath.WalkDir("../../internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		pkg, err := filepath.Rel("../..", filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		for _, m := range fuzzFuncRE.FindAllStringSubmatch(string(src), -1) {
-			found++
-			if !run[filepath.ToSlash(pkg)+"."+m[1]] {
-				t.Errorf("%s declares %s, which the Makefile's fuzz recipe does not run", path, m[1])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if found == 0 {
-		t.Fatal("no Fuzz* functions found under internal/; the pattern is stale")
 	}
 }
 

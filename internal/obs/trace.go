@@ -69,8 +69,7 @@ type Span struct {
 	// monotonic cursor assigned by Record, starting at 1. Pollers feed
 	// the highest Seq they have seen back as /traces?since=.
 	Seq uint64 `json:"seq,omitempty"`
-	// Kind is "server", "client", or "call" (a logical retried
-	// operation whose attempts are its children).
+	// Kind is "server" or "client".
 	Kind string `json:"kind"`
 	// Method is the RPC method name.
 	Method string `json:"method"`

@@ -28,11 +28,9 @@ import (
 // binding is verified against mutable resolver/session-key state, so
 // its outcome is not a function of the chain bytes alone.
 //
-// Entries are evicted when their chain expiry passes (expiry-aware
-// sweep on access and via SweepExpired), by LRU order at capacity, and
-// through the invalidation hooks (InvalidateGrantor, Purge). A
-// ChainCache is safe for concurrent use and may be shared by several
-// VerifyEnvs.
+// Entries are evicted when an access finds their chain expiry passed,
+// and by LRU order at capacity. A ChainCache is safe for concurrent use
+// and may be shared by several VerifyEnvs.
 type ChainCache struct {
 	mu      sync.Mutex
 	entries map[string]*list.Element
@@ -46,7 +44,6 @@ const DefaultChainCacheSize = 1024
 type cacheEntry struct {
 	key     string
 	v       Verified // value copy; shared read-only innards
-	grantor principal.ID
 	expires time.Time
 }
 
@@ -131,7 +128,7 @@ func (cc *ChainCache) put(key string, v *Verified, now time.Time) {
 	for cc.ll.Len() >= cc.cap {
 		cc.removeLocked(cc.ll.Back(), "capacity")
 	}
-	ent := &cacheEntry{key: key, v: *v, grantor: v.Grantor, expires: v.Expires}
+	ent := &cacheEntry{key: key, v: *v, expires: v.Expires}
 	ent.v.Cached = true // stored form is what hits return
 	cc.entries[key] = cc.ll.PushFront(ent)
 	mCacheEntries.Set(int64(cc.ll.Len()))
@@ -159,53 +156,4 @@ func (cc *ChainCache) Len() int {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	return cc.ll.Len()
-}
-
-// SweepExpired evicts every entry whose chain expiry has passed;
-// callers with a periodic maintenance loop use it to bound memory
-// between natural accesses. It returns the number evicted.
-func (cc *ChainCache) SweepExpired(now time.Time) int {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	n := 0
-	for el := cc.ll.Front(); el != nil; {
-		next := el.Next()
-		if !now.Before(el.Value.(*cacheEntry).expires) {
-			cc.removeLocked(el, "expired")
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
-// InvalidateGrantor drops every cached chain rooted at the given
-// grantor — the hook for key revocation or directory changes, where
-// waiting out revocation-by-expiry is not acceptable. It returns the
-// number evicted.
-func (cc *ChainCache) InvalidateGrantor(id principal.ID) int {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	n := 0
-	for el := cc.ll.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*cacheEntry).grantor == id {
-			cc.removeLocked(el, "invalidated")
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
-// Purge drops every entry (e.g. after rotating the server's identity or
-// swapping the identity resolver).
-func (cc *ChainCache) Purge() {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	for el := cc.ll.Front(); el != nil; {
-		next := el.Next()
-		cc.removeLocked(el, "invalidated")
-		el = next
-	}
 }

@@ -214,48 +214,3 @@ func TestChainCacheCapacityLRU(t *testing.T) {
 		t.Fatalf("LRU entry not evicted (err=%v)", err)
 	}
 }
-
-func TestChainCacheInvalidation(t *testing.T) {
-	w := newWorld(t)
-	env, _ := countingEnv(w, 0)
-
-	pa := w.grantPK(alice, readMotd())
-	pb := w.grantPK(bob, readMotd())
-	for _, p := range []*Proxy{pa, pb} {
-		if _, err := env.VerifyChain(p.Certs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := env.Cache.InvalidateGrantor(alice); n != 1 {
-		t.Fatalf("InvalidateGrantor(alice) = %d, want 1", n)
-	}
-	if v, err := env.VerifyChain(pa.Certs); err != nil || v.Cached {
-		t.Fatalf("invalidated chain still cached (err=%v)", err)
-	}
-	if v, err := env.VerifyChain(pb.Certs); err != nil || !v.Cached {
-		t.Fatalf("unrelated chain lost by invalidation (err=%v)", err)
-	}
-
-	env.Cache.Purge()
-	if env.Cache.Len() != 0 {
-		t.Fatalf("cache len after Purge = %d", env.Cache.Len())
-	}
-}
-
-func TestChainCacheSweepExpired(t *testing.T) {
-	w := newWorld(t)
-	env, _ := countingEnv(w, 0)
-	p := w.grantPK(alice, readMotd())
-	if _, err := env.VerifyChain(p.Certs); err != nil {
-		t.Fatal(err)
-	}
-	if n := env.Cache.SweepExpired(w.clk.Now()); n != 0 {
-		t.Fatalf("sweep evicted %d live entries", n)
-	}
-	if n := env.Cache.SweepExpired(w.clk.Now().Add(2 * time.Hour)); n != 1 {
-		t.Fatalf("sweep evicted %d, want 1", n)
-	}
-	if env.Cache.Len() != 0 {
-		t.Fatalf("cache len = %d", env.Cache.Len())
-	}
-}

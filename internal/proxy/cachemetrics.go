@@ -14,7 +14,7 @@ var (
 	mCacheUncacheable = obs.Default.NewCounter("proxykit_chain_cache_uncacheable_total",
 		"Chain verifications bypassing the cache because a link or binding uses a conventional (HMAC) key.")
 	mCacheEvictions = obs.Default.NewCounterVec("proxykit_chain_cache_evictions_total",
-		"Chain-cache entries evicted, by reason (expired, capacity, invalidated).", "reason")
+		"Chain-cache entries evicted, by reason (expired, capacity).", "reason")
 	mCacheEntries = obs.Default.NewGauge("proxykit_chain_cache_entries",
 		"Verified chains currently held in the chain cache.")
 )

@@ -153,19 +153,6 @@ func (c *Certificate) encode(e *wire.Encoder) {
 	e.Bytes32(c.Signature)
 }
 
-// UnmarshalCertificate parses a certificate from its wire encoding.
-func UnmarshalCertificate(b []byte) (*Certificate, error) {
-	d := wire.NewDecoder(b)
-	c, err := decodeCertificate(d)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	return c, nil
-}
-
 func decodeCertificate(d *wire.Decoder) (*Certificate, error) {
 	signed := d.Bytes32()
 	scheme := kcrypto.Scheme(d.Uint8())

@@ -7,11 +7,12 @@ import (
 	"proxykit/internal/kcrypto"
 	"proxykit/internal/principal"
 	"proxykit/internal/restrict"
+	"proxykit/internal/wire"
 )
 
-// FuzzUnmarshalCertificate feeds arbitrary bytes to the certificate
-// decoder: it must never panic, and anything it accepts must re-encode
-// and decode again.
+// FuzzUnmarshalCertificate feeds arbitrary bytes to the per-link
+// certificate decoder UnmarshalCerts runs: it must never panic, and
+// anything it accepts must re-encode and decode again.
 func FuzzUnmarshalCertificate(f *testing.F) {
 	kp, err := kcrypto.NewKeyPair()
 	if err != nil {
@@ -35,11 +36,11 @@ func FuzzUnmarshalCertificate(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := UnmarshalCertificate(data)
+		c, err := decodeCertificate(wire.NewDecoder(data))
 		if err != nil {
 			return
 		}
-		again, err := UnmarshalCertificate(c.Marshal())
+		again, err := decodeCertificate(wire.NewDecoder(c.Marshal()))
 		if err != nil {
 			t.Fatalf("accepted certificate failed round trip: %v", err)
 		}

@@ -78,7 +78,7 @@ func TestHybridBindingMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalCertificate(p.Certs[0].Marshal())
+	got, err := unmarshalCertificate(p.Certs[0].Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}

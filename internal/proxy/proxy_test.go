@@ -10,6 +10,7 @@ import (
 	"proxykit/internal/kcrypto"
 	"proxykit/internal/principal"
 	"proxykit/internal/restrict"
+	"proxykit/internal/wire"
 )
 
 var (
@@ -451,11 +452,21 @@ func TestVerifyEmptyChain(t *testing.T) {
 	}
 }
 
+// unmarshalCertificate decodes exactly one certificate.
+func unmarshalCertificate(b []byte) (*Certificate, error) {
+	d := wire.NewDecoder(b)
+	c, err := decodeCertificate(d)
+	if err != nil {
+		return nil, err
+	}
+	return c, d.Finish()
+}
+
 func TestCertificateMarshalRoundTrip(t *testing.T) {
 	w := newWorld(t)
 	p := w.grantConv(alice, readMotd())
 	b := p.Certs[0].Marshal()
-	got, err := UnmarshalCertificate(b)
+	got, err := unmarshalCertificate(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +552,7 @@ func TestModeString(t *testing.T) {
 // Property: unmarshaling arbitrary bytes never panics.
 func TestPropertyUnmarshalGarbage(t *testing.T) {
 	f := func(garbage []byte) bool {
-		_, _ = UnmarshalCertificate(garbage)
+		_, _ = unmarshalCertificate(garbage)
 		_, _ = UnmarshalCerts(garbage)
 		_, _ = UnmarshalPresentation(garbage)
 		return true
@@ -561,7 +572,7 @@ func TestPropertyCorruptionRejected(t *testing.T) {
 		bad := make([]byte, len(raw))
 		copy(bad, raw)
 		bad[i] ^= 0x01
-		c, err := UnmarshalCertificate(bad)
+		c, err := unmarshalCertificate(bad)
 		if err != nil {
 			continue
 		}

@@ -5,15 +5,12 @@
 package pubkey
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 
 	"proxykit/internal/kcrypto"
 	"proxykit/internal/principal"
-	"proxykit/internal/transport"
-	"proxykit/internal/wire"
 )
 
 // ErrNotFound is returned when a principal has no registered key.
@@ -169,77 +166,4 @@ func (d *Directory) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.keys)
-}
-
-// LookupMethod is the RPC method name for directory lookups.
-const LookupMethod = "pubkey.lookup"
-
-// Mux returns a transport mux serving directory lookups.
-func (d *Directory) Mux() *transport.Mux {
-	m := transport.NewMux()
-	m.Handle(LookupMethod, func(_ context.Context, body []byte) ([]byte, error) {
-		dec := wire.NewDecoder(body)
-		id := principal.DecodeID(dec)
-		if err := dec.Finish(); err != nil {
-			return nil, err
-		}
-		pk, err := d.Lookup(id)
-		if err != nil {
-			return nil, err
-		}
-		e := wire.NewEncoder(64)
-		e.Bytes32(pk.Bytes())
-		return e.Bytes(), nil
-	})
-	return m
-}
-
-// RemoteDirectory looks up keys over a transport client, caching
-// results; it satisfies the same Resolver contract as a local Directory.
-type RemoteDirectory struct {
-	client transport.Client
-
-	mu    sync.RWMutex
-	cache map[principal.ID]*kcrypto.PublicKey
-}
-
-// NewRemoteDirectory wraps a client for a directory service.
-func NewRemoteDirectory(c transport.Client) *RemoteDirectory {
-	return &RemoteDirectory{client: c, cache: make(map[principal.ID]*kcrypto.PublicKey)}
-}
-
-// Lookup fetches (and caches) the key for id.
-func (r *RemoteDirectory) Lookup(id principal.ID) (*kcrypto.PublicKey, error) {
-	r.mu.RLock()
-	pk, ok := r.cache[id]
-	r.mu.RUnlock()
-	if ok {
-		return pk, nil
-	}
-	e := wire.NewEncoder(64)
-	id.Encode(e)
-	resp, err := r.client.Call(LookupMethod, e.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	d := wire.NewDecoder(resp)
-	raw := d.Bytes32()
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	pk, err = kcrypto.PublicKeyFromBytes(raw)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.cache[id] = pk
-	r.mu.Unlock()
-	return pk, nil
-}
-
-// Resolver adapts the remote directory for proxy verification.
-func (r *RemoteDirectory) Resolver() func(principal.ID) (kcrypto.Verifier, error) {
-	return func(id principal.ID) (kcrypto.Verifier, error) {
-		return r.Lookup(id)
-	}
 }

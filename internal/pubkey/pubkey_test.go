@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"proxykit/internal/principal"
-	"proxykit/internal/transport"
 )
 
 var (
@@ -78,36 +77,5 @@ func TestRemoveRevokesLookups(t *testing.T) {
 	d.Remove(pAlice)
 	if _, err := d.Lookup(pAlice); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRemoteDirectory(t *testing.T) {
-	alice, _ := NewIdentity(pAlice)
-	d := NewDirectory()
-	d.RegisterIdentity(alice)
-
-	n := transport.NewNetwork()
-	n.Register("dir", d.Mux())
-	rd := NewRemoteDirectory(n.MustDial("dir"))
-
-	pk, err := rd.Lookup(pAlice)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pk.KeyID() != alice.Public().KeyID() {
-		t.Fatal("remote lookup returned wrong key")
-	}
-	// Second lookup is served from cache: round trips stay at 1.
-	if _, err := rd.Lookup(pAlice); err != nil {
-		t.Fatal(err)
-	}
-	if _, rts, _ := n.Stats().Snapshot(); rts != 1 {
-		t.Fatalf("round trips = %d, want 1 (cache miss only)", rts)
-	}
-	if _, err := rd.Lookup(pBob); err == nil {
-		t.Fatal("unknown principal resolved remotely")
-	}
-	if _, err := rd.Resolver()(pAlice); err != nil {
-		t.Fatal(err)
 	}
 }

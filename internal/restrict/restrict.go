@@ -21,7 +21,6 @@ package restrict
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"proxykit/internal/principal"
@@ -614,19 +613,4 @@ func (s Set) String() string {
 		parts[i] = r.String()
 	}
 	return strings.Join(parts, " & ")
-}
-
-// SortedTypes returns the distinct restriction types present, ordered,
-// for diagnostics.
-func (s Set) SortedTypes() []Type {
-	seen := make(map[Type]bool)
-	var out []Type
-	for _, r := range s {
-		if !seen[r.Type()] {
-			seen[r.Type()] = true
-			out = append(out, r.Type())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -348,9 +348,8 @@ func TestPropagate(t *testing.T) {
 		if len(got) != 2 {
 			t.Fatalf("len = %d: %s", len(got), got)
 		}
-		types := got.SortedTypes()
-		if len(types) != 2 || types[0] != TypeQuota || types[1] != TypeLimit {
-			t.Fatalf("types = %v", types)
+		if got[0].Type() != TypeLimit || got[1].Type() != TypeQuota {
+			t.Fatalf("kept %s", got)
 		}
 	})
 	t.Run("non-limit restrictions always propagate", func(t *testing.T) {

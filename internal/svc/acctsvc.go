@@ -197,7 +197,6 @@ type AcctClient struct {
 	client transport.Client
 	ident  *pubkey.Identity
 	clk    clock.Clock
-	retry  transport.RetryPolicy
 }
 
 // NewAcctClient wraps a transport client.
@@ -208,15 +207,8 @@ func NewAcctClient(c transport.Client, ident *pubkey.Identity, clk clock.Clock) 
 	return &AcctClient{client: c, ident: ident, clk: clk}
 }
 
-// SetRetry enables retrying of this client's RPCs. Requests are
-// re-sealed per attempt (fresh envelope nonce); DepositCheck
-// additionally converts a duplicate-check refusal on a retry into
-// success, since the bank's accept-once registry proves an earlier
-// delivery was credited.
-func (c *AcctClient) SetRetry(p transport.RetryPolicy) { c.retry = p }
-
 func (c *AcctClient) call(method string, body []byte) ([]byte, error) {
-	return sealedCall(c.client, c.ident, c.clk, c.retry, method, body)
+	return sealedCall(c.client, c.ident, c.clk, method, body)
 }
 
 // CreateAccount creates an account owned by this client.
@@ -282,44 +274,14 @@ func (c *AcctClient) Statement(name string) ([]accounting.Transaction, error) {
 	return out, nil
 }
 
-// DepositCheck deposits an endorsed check into creditAccount. Under a
-// retry policy a redelivered deposit may be refused as a duplicate
-// check number; when that happens on a retry attempt the refusal is the
-// lost acknowledgment of an earlier successful delivery (the bank's
-// accept-once registry is the ack of record), so it is returned as a
-// success with a minimal receipt.
+// DepositCheck deposits an endorsed check into creditAccount.
 func (c *AcctClient) DepositCheck(check *accounting.Check, creditAccount string) (*accounting.Receipt, error) {
 	e := wire.NewEncoder(1024)
 	EncodeCheck(e, check)
 	e.String(creditAccount)
-	body := e.Bytes()
-	var resp []byte
-	dupAck := false
-	err := c.retry.Do(DepositCheckMethod, func(attempt int) error {
-		sealed, serr := Seal(c.ident, DepositCheckMethod, body, c.clk)
-		if serr != nil {
-			return serr
-		}
-		r, cerr := c.client.Call(DepositCheckMethod, sealed)
-		if cerr != nil && attempt > 0 && isRemoteDuplicate(cerr) {
-			mDepositDupAcks.Inc()
-			dupAck = true
-			return nil
-		}
-		resp = r
-		return cerr
-	})
+	resp, err := c.call(DepositCheckMethod, e.Bytes())
 	if err != nil {
 		return nil, err
-	}
-	if dupAck {
-		return &accounting.Receipt{
-			Number:    check.Number,
-			Currency:  check.Currency,
-			Amount:    check.Amount,
-			Collected: true,
-			Hops:      1,
-		}, nil
 	}
 	d := wire.NewDecoder(resp)
 	r := &accounting.Receipt{}

@@ -190,7 +190,6 @@ type AuthzClient struct {
 	client transport.Client
 	ident  *pubkey.Identity
 	clk    clock.Clock
-	retry  transport.RetryPolicy
 }
 
 // NewAuthzClient wraps a transport client.
@@ -200,11 +199,6 @@ func NewAuthzClient(c transport.Client, ident *pubkey.Identity, clk clock.Clock)
 	}
 	return &AuthzClient{client: c, ident: ident, clk: clk}
 }
-
-// SetRetry enables retrying of this client's RPCs; requests are
-// re-sealed per attempt (fresh envelope nonce). Grant requests are
-// idempotent — each attempt simply asks for a proxy again.
-func (c *AuthzClient) SetRetry(p transport.RetryPolicy) { c.retry = p }
 
 // GrantParams are the client-side request parameters.
 type GrantParams struct {
@@ -243,7 +237,7 @@ func (c *AuthzClient) Grant(p GrantParams) (*proxy.Proxy, error) {
 	}
 	e.BytesSlice(pres)
 
-	resp, err := sealedCall(c.client, c.ident, c.clk, c.retry, GrantMethod, e.Bytes())
+	resp, err := sealedCall(c.client, c.ident, c.clk, GrantMethod, e.Bytes())
 	if err != nil {
 		return nil, err
 	}

@@ -119,7 +119,6 @@ type EndClient struct {
 	client transport.Client
 	ident  *pubkey.Identity
 	clk    clock.Clock
-	retry  transport.RetryPolicy
 }
 
 // NewEndClient wraps a transport client.
@@ -130,14 +129,10 @@ func NewEndClient(c transport.Client, ident *pubkey.Identity, clk clock.Clock) *
 	return &EndClient{client: c, ident: ident, clk: clk}
 }
 
-// SetRetry enables retrying of this client's RPCs; authenticated
-// requests are re-sealed per attempt (fresh envelope nonce).
-func (c *EndClient) SetRetry(p transport.RetryPolicy) { c.retry = p }
-
 // Challenge fetches a fresh bearer-presentation challenge (one round
 // trip).
 func (c *EndClient) Challenge() ([]byte, error) {
-	return rawCall(c.client, c.retry, ChallengeMethod, nil)
+	return c.client.Call(ChallengeMethod, nil)
 }
 
 // Hints asks which subjects can authorize access to object (message 0
@@ -145,7 +140,7 @@ func (c *EndClient) Challenge() ([]byte, error) {
 func (c *EndClient) Hints(object string) ([]acl.Subject, error) {
 	e := wire.NewEncoder(64)
 	e.String(object)
-	resp, err := rawCall(c.client, c.retry, HintsMethod, e.Bytes())
+	resp, err := c.client.Call(HintsMethod, e.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +209,7 @@ func (c *EndClient) Request(p RequestParams) (*Decision, error) {
 		e.String(cur)
 		e.Int64(p.Amounts[cur])
 	}
-	resp, err := sealedCall(c.client, c.ident, c.clk, c.retry, RequestMethod, e.Bytes())
+	resp, err := sealedCall(c.client, c.ident, c.clk, RequestMethod, e.Bytes())
 	if err != nil {
 		return nil, err
 	}

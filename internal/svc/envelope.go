@@ -21,6 +21,7 @@ import (
 	"proxykit/internal/principal"
 	"proxykit/internal/pubkey"
 	"proxykit/internal/replay"
+	"proxykit/internal/transport"
 	"proxykit/internal/wire"
 )
 
@@ -59,6 +60,16 @@ func envelopeBytes(from principal.ID, method string, body []byte, ts time.Time, 
 	e.Time(ts)
 	e.Bytes32(nonce)
 	return e.Bytes()
+}
+
+// sealedCall performs one authenticated RPC: it seals body with a
+// fresh nonce and sends it once.
+func sealedCall(client transport.Client, ident *pubkey.Identity, clk clock.Clock, method string, body []byte) ([]byte, error) {
+	sealed, err := Seal(ident, method, body, clk)
+	if err != nil {
+		return nil, err
+	}
+	return client.Call(method, sealed)
 }
 
 // Seal signs a request for transport.

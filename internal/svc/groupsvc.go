@@ -95,7 +95,6 @@ type GroupClient struct {
 	client transport.Client
 	ident  *pubkey.Identity
 	clk    clock.Clock
-	retry  transport.RetryPolicy
 }
 
 // NewGroupClient wraps a transport client.
@@ -105,10 +104,6 @@ func NewGroupClient(c transport.Client, ident *pubkey.Identity, clk clock.Clock)
 	}
 	return &GroupClient{client: c, ident: ident, clk: clk}
 }
-
-// SetRetry enables retrying of this client's RPCs; requests are
-// re-sealed per attempt (fresh envelope nonce).
-func (c *GroupClient) SetRetry(p transport.RetryPolicy) { c.retry = p }
 
 // GroupGrantParams are the client-side request parameters.
 type GroupGrantParams struct {
@@ -139,7 +134,7 @@ func (c *GroupClient) Grant(p GroupGrantParams) (*proxy.Proxy, error) {
 	}
 	e.BytesSlice(pres)
 
-	resp, err := sealedCall(c.client, c.ident, c.clk, c.retry, GroupGrantMethod, e.Bytes())
+	resp, err := sealedCall(c.client, c.ident, c.clk, GroupGrantMethod, e.Bytes())
 	if err != nil {
 		return nil, err
 	}

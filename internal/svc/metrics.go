@@ -14,8 +14,6 @@ var (
 		"Request envelopes signed by clients.")
 	mOpen = obs.Default.NewCounterVec("proxykit_envelope_open_total",
 		"Request envelopes verified by services, by outcome (ok, bad, stale, replayed).", "outcome")
-	mDepositDupAcks = obs.Default.NewCounter("proxykit_svc_deposit_duplicate_acks_total",
-		"Retried wire deposits whose duplicate-check refusal was taken as the lost ack of an earlier success.")
 )
 
 // openOutcome classifies an Open error into the metric label.

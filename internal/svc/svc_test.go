@@ -18,6 +18,7 @@ import (
 	"proxykit/internal/pubkey"
 	"proxykit/internal/restrict"
 	"proxykit/internal/transport"
+	"proxykit/internal/wire"
 )
 
 var (
@@ -114,6 +115,34 @@ func TestEnvelopeRoundTripAndTamper(t *testing.T) {
 	w.clk.Advance(10 * time.Minute)
 	if _, _, err := opener.Open("m", raw4); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale err = %v", err)
+	}
+}
+
+// TestTransportRetryReplaysSealedEnvelope is the negative control for
+// resending below the seal: a sealed request delivered twice as the same
+// bytes, as a transport-level retry would send it, is served once and
+// then refused as a replay.
+func TestTransportRetryReplaysSealedEnvelope(t *testing.T) {
+	w := newWorld(t)
+	bank := accounting.NewServer(w.ident(principal.New("bank", "ISI.EDU")), w.dir.Resolver(), w.clk)
+	w.net.Register("bank", NewAcctService(bank, w.dir.Resolver(), w.clk).Mux())
+	if err := bank.CreateAccount("alice", alice); err != nil {
+		t.Fatal(err)
+	}
+	e := wire.NewEncoder(32)
+	e.String("alice")
+	e.String("dollars")
+	sealed, err := Seal(w.ids[alice], BalanceMethod, e.Bytes(), w.clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := w.net.MustDial("bank")
+	if _, err := c.Call(BalanceMethod, sealed); err != nil {
+		t.Fatalf("first delivery: %v", err)
+	}
+	var re *transport.RemoteError
+	if _, err := c.Call(BalanceMethod, sealed); !errors.As(err, &re) || !strings.Contains(re.Msg, ErrReplayed.Error()) {
+		t.Fatalf("resent sealed bytes: err = %v, want a remote %q", err, ErrReplayed)
 	}
 }
 

@@ -166,12 +166,11 @@ func TestMuxTimeoutIsolatesOneCall(t *testing.T) {
 	srv := NewTCPServer(l, slowEchoMux())
 	defer srv.Close()
 
-	c, err := DialTCP(srv.Addr().String(), 5*time.Second)
+	c, err := DialTCP(srv.Addr().String(), 80*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetCallTimeout(80 * time.Millisecond)
 
 	staleBefore := mClientStaleResponses.Value()
 	var wg sync.WaitGroup

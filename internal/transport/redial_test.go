@@ -177,39 +177,6 @@ func TestTCPServerInjector(t *testing.T) {
 	}
 }
 
-// TestRetryClientOverFaultyNetwork: a RetryClient on the in-memory
-// network under heavy injected loss still completes every call, and
-// the retry counters move.
-func TestRetryClientOverFaultyNetwork(t *testing.T) {
-	n := NewNetwork()
-	mux := NewMux()
-	var served atomic.Int64
-	mux.Handle("ping", func(_ context.Context, body []byte) ([]byte, error) {
-		served.Add(1)
-		return body, nil
-	})
-	n.Register("svc", mux)
-	n.SetInjector(faultpoint.New(99, faultpoint.Rule{Method: "ping", Drop: 0.4}))
-
-	rc := NewRetryClient(n.MustDial("svc"), RetryPolicy{
-		MaxAttempts: 10,
-		Seed:        7,
-		Sleep:       func(time.Duration) {},
-	})
-	retriesBefore := mRetries.With("ping").Value()
-	for i := 0; i < 200; i++ {
-		if _, err := rc.Call("ping", []byte{byte(i)}); err != nil {
-			t.Fatalf("call %d failed through retries: %v", i, err)
-		}
-	}
-	if served.Load() < 200 {
-		t.Fatalf("server served %d < 200 calls", served.Load())
-	}
-	if mRetries.With("ping").Value() == retriesBefore {
-		t.Error("no retries recorded under 40% drop — injection not active?")
-	}
-}
-
 // TestRetryPolicyClassification: remote (application) errors are not
 // retried; injected transport faults are; exhaustion is reported with
 // the last error.

@@ -5,22 +5,17 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"proxykit/internal/obs"
 )
 
 // RetryPolicy configures retrying of failed RPCs: exponential backoff
 // with jitter, an attempt cap, and a wall-clock budget. The zero value
-// means "no retries" (a single attempt), so wrapping a client in a
-// zero-policy RetryClient changes nothing.
+// means "no retries" (a single attempt).
 //
-// Retrying is only safe when redelivery is harmless. proxykit's
-// protocol is built for that — the accept-once restriction suppresses
-// duplicate check deposits, signed envelopes carry once-only nonces,
-// and proxy verification is offline — but the duplicate shows up as an
-// application-level rejection on the second delivery, which callers
-// that retry must treat as an acknowledgment (see the clearing path in
-// internal/accounting and AcctClient.DepositCheck in internal/svc).
+// Retrying is only safe when redelivery is harmless. The clearing hop
+// between banks (accounting.Server.SetHopRetry) is built for that: the
+// accept-once restriction suppresses a duplicate check deposit, and the
+// duplicate's refusal on the second delivery is taken as the lost
+// acknowledgment of the first.
 type RetryPolicy struct {
 	// MaxAttempts caps total attempts (first try included). Values
 	// below 2 mean a single attempt.
@@ -45,12 +40,6 @@ type RetryPolicy struct {
 	Sleep func(time.Duration)
 	// Retryable classifies errors; nil uses IsRetryable.
 	Retryable func(error) bool
-}
-
-// DefaultRetryPolicy is a sensible production policy: 4 attempts,
-// 10ms..1s exponential backoff with 20% jitter.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4}
 }
 
 // Do runs fn (passing the 0-based attempt index) until it succeeds,
@@ -149,78 +138,4 @@ func IsRetryable(err error) bool {
 	}
 	var re *RemoteError
 	return !errors.As(err, &re)
-}
-
-// RetryClient wraps a Client with a RetryPolicy. It resends the same
-// request bytes on every attempt, which suits raw (unsealed) RPCs;
-// sealed envelopes carry a once-only nonce and must be re-sealed per
-// attempt instead (the svc clients do this above the transport — see
-// svc.SetRetry).
-type RetryClient struct {
-	c Client
-	p RetryPolicy
-}
-
-// NewRetryClient wraps c.
-func NewRetryClient(c Client, p RetryPolicy) *RetryClient {
-	return &RetryClient{c: c, p: p}
-}
-
-// Call implements Client with retries. All attempts share one logical
-// trace (see TraceRetries), so a retried call renders as sibling spans
-// under a single parent rather than N unrelated root traces.
-func (r *RetryClient) Call(method string, body []byte) ([]byte, error) {
-	c, finish := TraceRetries(r.c, r.p, method)
-	resp, err := r.do(c, method, body)
-	finish(err)
-	return resp, err
-}
-
-// CallTrace implements TraceClient: attempts become children of parent
-// (siblings of each other), joining the caller's existing trace.
-func (r *RetryClient) CallTrace(parent obs.Trace, method string, body []byte) ([]byte, error) {
-	if parent.TraceID == "" {
-		return r.Call(method, body)
-	}
-	return r.do(WithTrace(r.c, parent), method, body)
-}
-
-func (r *RetryClient) do(c Client, method string, body []byte) ([]byte, error) {
-	var resp []byte
-	err := r.p.Do(method, func(int) error {
-		var cerr error
-		resp, cerr = c.Call(method, body)
-		return cerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-var _ TraceClient = (*RetryClient)(nil)
-
-// TraceRetries prepares the shared trace context for a retried call
-// with no ambient parent. When c supports trace propagation and p
-// allows more than one attempt, it mints one logical root span and
-// returns a client that issues every attempt as a child of it — so a
-// retry appears as sibling spans under one parent, not a fresh trace
-// per attempt — plus a finish func that records the root span (kind
-// "call") covering the whole retried operation, backoffs included.
-// Otherwise c is returned unchanged with a no-op finish. Callers that
-// already bound a parent (WithTrace) need none of this: their attempts
-// are siblings of the bound parent by construction.
-func TraceRetries(c Client, p RetryPolicy, method string) (Client, func(error)) {
-	if _, ok := c.(TraceClient); !ok || p.MaxAttempts < 2 {
-		return c, func(error) {}
-	}
-	tr := obs.NewTrace()
-	start := time.Now()
-	return WithTrace(c, tr), func(err error) {
-		span := obs.Span{Trace: tr, Kind: "call", Method: method, Start: start, Duration: time.Since(start)}
-		if err != nil {
-			span.Err = err.Error()
-		}
-		obs.Spans.Record(span)
-	}
 }

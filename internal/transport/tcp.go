@@ -381,22 +381,21 @@ func (cc *clientConn) send(frame []byte, writeTimeout time.Duration) error {
 // connection reset) tears a connection down, and the next call through
 // that slot redials automatically. Only Close is terminal.
 type TCPClient struct {
-	addr string
-	next atomic.Uint64 // request ID source
-	rr   atomic.Uint64 // round-robin pool cursor
+	addr    string
+	timeout time.Duration // dial timeout and per-call deadline
+	next    atomic.Uint64 // request ID source
+	rr      atomic.Uint64 // round-robin pool cursor
 
-	mu       sync.Mutex // guards conns/closed/timeout/injector, never held across I/O
+	mu       sync.Mutex // guards conns/closed/injector, never held across I/O
 	conns    []*clientConn
 	dialed   []bool // slot ever had a connection (distinguishes redial)
 	closed   bool
-	timeout  time.Duration
 	injector *faultpoint.Injector
 }
 
 // DialTCP connects to a proxykit service at addr with a single
-// multiplexed connection. timeout bounds the dial and becomes the
-// default per-call deadline (see SetCallTimeout), so a hung daemon
-// cannot wedge the client forever.
+// multiplexed connection. timeout bounds the dial and every call, so a
+// hung daemon cannot wedge the client forever.
 func DialTCP(addr string, timeout time.Duration) (*TCPClient, error) {
 	return DialTCPPool(addr, timeout, 1)
 }
@@ -422,13 +421,6 @@ func DialTCPPool(addr string, timeout time.Duration, size int) (*TCPClient, erro
 	c.conns[0] = newClientConn(conn)
 	c.dialed[0] = true
 	return c, nil
-}
-
-// SetCallTimeout overrides the per-call deadline; zero disables it.
-func (c *TCPClient) SetCallTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.timeout = d
 }
 
 // SetInjector installs a client-side fault injector: outbound calls
@@ -519,7 +511,7 @@ func (c *TCPClient) Call(method string, body []byte) ([]byte, error) {
 // trace, which is what Call does.
 func (c *TCPClient) CallTrace(parent obs.Trace, method string, body []byte) ([]byte, error) {
 	c.mu.Lock()
-	closed, timeout, inj := c.closed, c.timeout, c.injector
+	closed, inj := c.closed, c.injector
 	c.mu.Unlock()
 	if closed {
 		return nil, ErrClosed
@@ -530,7 +522,7 @@ func (c *TCPClient) CallTrace(parent obs.Trace, method string, body []byte) ([]b
 	}
 	mClientRequests.With(method).Inc()
 	start := time.Now()
-	resp, err := c.callInjected(method, tr, body, timeout, inj)
+	resp, err := c.callInjected(method, tr, body, c.timeout, inj)
 	dur := time.Since(start)
 	mClientLatency.With(method).Observe(dur.Seconds())
 	span := obs.Span{Trace: tr, Kind: "client", Method: method, Start: start, Duration: dur}

@@ -65,38 +65,3 @@ func TestTCPCallTimeout(t *testing.T) {
 		t.Fatalf("post-Close call err = %v, want ErrClosed", err)
 	}
 }
-
-// TestSetCallTimeout verifies the override is honored over the dial
-// timeout default.
-func TestSetCallTimeout(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		<-done
-	}()
-
-	c, err := DialTCP(l.Addr().String(), 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetCallTimeout(50 * time.Millisecond)
-
-	start := time.Now()
-	if _, err := c.Call("echo", nil); err == nil {
-		t.Fatal("call to silent server succeeded")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("call took %v, SetCallTimeout not honored", elapsed)
-	}
-}

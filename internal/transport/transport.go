@@ -1,6 +1,6 @@
 // Package transport provides the message substrate the proxykit services
 // run on: a request/response RPC abstraction with two implementations —
-// an in-memory network that meters messages and injects latency (the
+// an in-memory network that meters messages and injects faults (the
 // measurement substrate for the experiments), and a TCP transport for
 // the cmd/ daemons.
 //
@@ -146,13 +146,10 @@ func (s *Stats) Reset() {
 }
 
 // Network is an in-memory service fabric. Services register under names;
-// clients dial by name. Every call is metered and optionally delayed by
-// a configured per-round-trip latency.
+// clients dial by name. Every call is metered.
 type Network struct {
 	mu       sync.RWMutex
 	services map[string]*Mux
-	latency  time.Duration
-	sleep    bool
 	injector *faultpoint.Injector
 	stats    Stats
 }
@@ -162,20 +159,10 @@ func NewNetwork() *Network {
 	return &Network{services: make(map[string]*Mux)}
 }
 
-// SetLatency configures the simulated one-way latency. If sleep is true
-// each call really sleeps 2×latency (request + response); otherwise the
-// latency is only modeled (see ModeledLatency).
-func (n *Network) SetLatency(oneWay time.Duration, sleep bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.latency = oneWay
-	n.sleep = sleep
-}
-
 // SetInjector installs a fault injector on every call through the
-// network, extending the latency hook into a full chaos substrate:
-// drops, duplicates, remote errors, and partitions, per-method and
-// seeded (see internal/faultpoint). nil removes injection.
+// network: drops, duplicates, delays, remote errors, and partitions,
+// per-method and seeded (see internal/faultpoint). nil removes
+// injection.
 func (n *Network) SetInjector(inj *faultpoint.Injector) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -191,16 +178,6 @@ func (n *Network) Register(name string, mux *Mux) {
 
 // Stats exposes the network's counters.
 func (n *Network) Stats() *Stats { return &n.stats }
-
-// ModeledLatency returns the network latency the recorded traffic would
-// have experienced at the configured one-way latency: round trips ×
-// 2 × latency.
-func (n *Network) ModeledLatency() time.Duration {
-	n.mu.RLock()
-	lat := n.latency
-	n.mu.RUnlock()
-	return time.Duration(n.stats.RoundTrips.Load()) * 2 * lat
-}
 
 // Dial returns a Client for the named service.
 func (n *Network) Dial(name string) (Client, error) {
@@ -248,11 +225,8 @@ func (c *memClient) CallTrace(parent obs.Trace, method string, body []byte) ([]b
 		tr = parent.Child()
 	}
 	c.net.mu.RLock()
-	lat, sleep, inj := c.net.latency, c.net.sleep, c.net.injector
+	inj := c.net.injector
 	c.net.mu.RUnlock()
-	if sleep && lat > 0 {
-		time.Sleep(lat)
-	}
 	if inj != nil {
 		d := inj.Decide(method)
 		if d.Delay > 0 {
@@ -274,11 +248,11 @@ func (c *memClient) CallTrace(parent obs.Trace, method string, body []byte) ([]b
 			// outcome, the second is the network's doing.
 			resp, err := c.dispatch(tr, method, body)
 			_, _ = c.dispatch(tr, method, body)
-			return c.finish(method, resp, err, lat, sleep)
+			return c.finish(method, resp, err)
 		}
 	}
 	resp, err := c.dispatch(tr, method, body)
-	return c.finish(method, resp, err, lat, sleep)
+	return c.finish(method, resp, err)
 }
 
 // dispatch delivers one request to the service, metering the request
@@ -294,10 +268,7 @@ func (c *memClient) dispatch(tr obs.Trace, method string, body []byte) ([]byte, 
 
 // finish meters the response leg and converts handler errors into
 // RemoteErrors, as the TCP transport does on the wire.
-func (c *memClient) finish(method string, resp []byte, err error, lat time.Duration, sleep bool) ([]byte, error) {
-	if sleep && lat > 0 {
-		time.Sleep(lat)
-	}
+func (c *memClient) finish(method string, resp []byte, err error) ([]byte, error) {
 	c.net.stats.Messages.Add(1)
 	c.net.stats.Bytes.Add(uint64(len(resp)))
 	c.net.stats.RoundTrips.Add(1)

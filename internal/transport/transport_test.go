@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"proxykit/internal/obs"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"proxykit/internal/faultpoint"
+	"proxykit/internal/obs"
 )
 
 func echoMux() *Mux {
@@ -102,29 +104,12 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
-func TestModeledLatency(t *testing.T) {
-	n := NewNetwork()
-	n.Register("svc", echoMux())
-	n.SetLatency(5*time.Millisecond, false) // modeled only, no sleeping
-	c := n.MustDial("svc")
-	start := time.Now()
-	for i := 0; i < 4; i++ {
-		if _, err := c.Call("echo", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("modeled latency slept: %v", elapsed)
-	}
-	if got := n.ModeledLatency(); got != 40*time.Millisecond {
-		t.Fatalf("modeled latency = %v, want 40ms", got)
-	}
-}
-
+// TestSleepLatency: a delay the injector decides really delays a call
+// on the in-memory network.
 func TestSleepLatency(t *testing.T) {
 	n := NewNetwork()
 	n.Register("svc", echoMux())
-	n.SetLatency(10*time.Millisecond, true)
+	n.SetInjector(faultpoint.New(1, faultpoint.Rule{Method: "echo", Delay: 20 * time.Millisecond}))
 	c := n.MustDial("svc")
 	start := time.Now()
 	if _, err := c.Call("echo", nil); err != nil {

@@ -135,9 +135,6 @@ func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Remaining returns the number of unconsumed bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
 // Finish verifies the input was consumed exactly and returns any pending
 // error.
 func (d *Decoder) Finish() error {

@@ -297,11 +297,10 @@ func TestEncoderLenAndDecoderRemaining(t *testing.T) {
 		t.Fatalf("len = %d", e.Len())
 	}
 	d := NewDecoder(e.Bytes())
-	if d.Remaining() != e.Len() {
-		t.Fatalf("remaining = %d", d.Remaining())
+	if v, s := d.Uint32(), d.String(); v != 7 || s != "ab" {
+		t.Fatalf("decoded %d, %q", v, s)
 	}
-	_ = d.Uint32()
-	if d.Remaining() != 6 {
-		t.Fatalf("remaining after read = %d", d.Remaining())
+	if err := d.Finish(); err != nil {
+		t.Fatalf("decoder left bytes of a %d-byte encoding: %v", e.Len(), err)
 	}
 }
